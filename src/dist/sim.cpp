@@ -197,8 +197,8 @@ SimResult NetworkSimulator::run(std::span<const double> x,
     // capacity-C channel on every transmitted value.
     value_.resize(width);
     fire_.resize(width);
+    net_.activation().apply(preact_, value_);
     for (std::size_t j = 0; j < width; ++j) {
-      value_[j] = net_.activation().value(preact_[j]);
       fire_[j] = barrier + latencies_[l - 1][j];
     }
     for (const auto& fault : plan_.neurons) {

@@ -90,8 +90,8 @@ class EvalBackend {
 };
 
 /// Shared summarisation: fills `result.worst_error` from `result.probes`
-/// against the fault-free outputs of `trial.probes`.
+/// against the fault-free outputs of `trial.probes`, evaluated in `ws`.
 void finish_trial(const nn::FeedForwardNetwork& net, const Trial& trial,
-                  TrialResult& result);
+                  TrialResult& result, nn::Workspace& ws);
 
 }  // namespace wnf::exec

@@ -3,7 +3,9 @@
 #include <algorithm>
 
 #include "obs/trace.hpp"
+#include "transport/host.hpp"
 #include "util/contract.hpp"
+#include "util/thread_pool.hpp"
 
 namespace wnf::exec {
 namespace {
@@ -76,48 +78,58 @@ std::vector<TrialResult> ServeBackend::run_trials(
   // trial stream, so nothing is shed and prior calls leave no trace.
   serve::ReplicaPool pool(net_,
                           pool_config(options_, std::max<std::size_t>(total, 1)));
+  return serve_trial_stream(pool, net_, trials);
+}
 
+template <typename Runtime>
+std::vector<TrialResult> serve_trial_stream(Runtime& runtime,
+                                            const nn::FeedForwardNetwork& net,
+                                            std::span<const Trial> trials) {
   serve::FaultTimeline timeline;
-  std::uint64_t offset = 0;
+  std::size_t total = 0;
   for (const Trial& trial : trials) {
     if (!trial.plan.empty() && !trial.probes.empty()) {
-      timeline.add(offset, offset + trial.probes.size(), trial.plan);
+      timeline.add(total, total + trial.probes.size(), trial.plan);
     }
-    offset += trial.probes.size();
+    total += trial.probes.size();
   }
-  pool.set_timeline(std::move(timeline));
+  runtime.set_timeline(std::move(timeline));
 
-  // Submission and completion interleave through the async seam: workers
-  // start executing the head of the stream while the tail is still being
-  // submitted, and poll() harvests whatever has already finished in id
-  // order. wait() then drains the remainder — results are bit-identical
-  // to a synchronous submit-everything-then-drain, just pipelined.
   std::vector<serve::RequestResult> served;
   served.reserve(total);
   serve::RequestResult ready;
   for (const Trial& trial : trials) {
     for (const auto& x : trial.probes) {
-      const bool accepted = pool.submit(x);
+      const bool accepted = runtime.submit(x);
       WNF_ASSERT(accepted);  // queue sized to the whole stream
-      while (pool.poll(ready)) served.push_back(ready);
+      while (runtime.poll(ready)) served.push_back(ready);
     }
   }
-  while (pool.pending() > 0) served.push_back(pool.wait());
+  while (runtime.pending() > 0) served.push_back(runtime.wait());
   WNF_ASSERT(served.size() == total);
 
   std::vector<TrialResult> results(trials.size());
   std::size_t at = 0;
   for (std::size_t t = 0; t < trials.size(); ++t) {
-    const Trial& trial = trials[t];
-    results[t].probes.reserve(trial.probes.size());
-    for (std::size_t i = 0; i < trial.probes.size(); ++i, ++at) {
+    results[t].probes.reserve(trials[t].probes.size());
+    for (std::size_t i = 0; i < trials[t].probes.size(); ++i, ++at) {
       results[t].probes.push_back({served[at].output,
                                    served[at].completion_time,
                                    served[at].resets_sent});
     }
-    finish_trial(net_, trial, results[t]);
   }
+  parallel_for(0, trials.size(), [&](std::size_t t) {
+    nn::Workspace ws;
+    finish_trial(net, trials[t], results[t], ws);
+  });
   return results;
 }
+
+template std::vector<TrialResult> serve_trial_stream(
+    serve::ReplicaPool&, const nn::FeedForwardNetwork&,
+    std::span<const Trial>);
+template std::vector<TrialResult> serve_trial_stream(
+    transport::WorkerHost&, const nn::FeedForwardNetwork&,
+    std::span<const Trial>);
 
 }  // namespace wnf::exec

@@ -66,7 +66,8 @@ std::vector<TrialResult> SimulatorBackend::run_trials(
     for (const auto& x : trial.probes) {
       results[t].probes.push_back(run_probe(sim, rng, {x.data(), x.size()}));
     }
-    finish_trial(net_, trial, results[t]);
+    nn::Workspace ws;
+    finish_trial(net_, trial, results[t], ws);
   });
   return results;
 }

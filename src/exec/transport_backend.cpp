@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exec/serve_backend.hpp"
 #include "obs/trace.hpp"
 #include "util/contract.hpp"
 
@@ -105,48 +106,11 @@ std::vector<TrialResult> TransportBackend::run_trials(
   transport::WorkerHost& host =
       campaign_fleet(std::max<std::size_t>(total, 1));
 
-  serve::FaultTimeline timeline;
-  std::uint64_t offset = 0;
-  for (const Trial& trial : trials) {
-    if (!trial.plan.empty() && !trial.probes.empty()) {
-      timeline.add(offset, offset + trial.probes.size(), trial.plan);
-    }
-    offset += trial.probes.size();
-  }
-  host.set_timeline(std::move(timeline));
+  // The crash script fires at the same dispatch frontiers whether the
+  // stream is pipelined or submitted whole, so it stays bit-identical.
   host.set_crash_script(options_.crash_script);
-
-  // Submission and completion interleave through the async seam: the host
-  // pumps dispatch/harvest inside poll() while the trial stream is still
-  // being submitted, then wait() drains the remainder — bit-identical to
-  // a synchronous submit-everything-then-drain, just pipelined (and the
-  // crash script fires at the same dispatch frontiers either way).
-  std::vector<serve::RequestResult> served;
-  served.reserve(total);
-  serve::RequestResult ready;
-  for (const Trial& trial : trials) {
-    for (const auto& x : trial.probes) {
-      const bool accepted = host.submit(x);
-      WNF_ASSERT(accepted);  // queue sized to the whole stream
-      while (host.poll(ready)) served.push_back(ready);
-    }
-  }
-  while (host.pending() > 0) served.push_back(host.wait());
-  WNF_ASSERT(served.size() == total);
+  auto results = serve_trial_stream(host, net_, trials);
   last_report_ = host.report();
-
-  std::vector<TrialResult> results(trials.size());
-  std::size_t at = 0;
-  for (std::size_t t = 0; t < trials.size(); ++t) {
-    const Trial& trial = trials[t];
-    results[t].probes.reserve(trial.probes.size());
-    for (std::size_t i = 0; i < trial.probes.size(); ++i, ++at) {
-      results[t].probes.push_back({served[at].output,
-                                   served[at].completion_time,
-                                   served[at].resets_sent});
-    }
-    finish_trial(net_, trial, results[t]);
-  }
   return results;
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 namespace wnf::nn {
@@ -34,6 +35,11 @@ class Activation {
   Activation() : Activation(ActivationKind::kSigmoid, 0.25) {}
 
   double value(double x) const;
+
+  /// out[i] = value(in[i]) for every i, bit for bit, with the kind switched
+  /// on once per call instead of once per neuron (the forward passes apply
+  /// it to a whole layer). Sizes must match; `out` may be `in` itself.
+  void apply(std::span<const double> in, std::span<double> out) const;
 
   /// d(value)/dx at `x`.
   double derivative(double x) const;

@@ -93,7 +93,7 @@ double FeedForwardNetwork::evaluate(std::span<const double> x,
   for (const auto& layer : hidden_) {
     next.resize(layer.out_size());
     layer.affine(current, next);
-    for (double& s : next) s = activation_.value(s);
+    activation_.apply(next, next);
     std::swap(current, next);
   }
   return dot({current.data(), current.size()},
@@ -122,7 +122,7 @@ double FeedForwardNetwork::evaluate_hooked(std::span<const double> x,
       hooks.pre_activation(l, {current.data(), current.size()},
                            {next.data(), next.size()});
     }
-    for (double& s : next) s = activation_.value(s);
+    activation_.apply(next, next);
     if (hooks.post_activation) {
       hooks.post_activation(l, {next.data(), next.size()});
     }
@@ -148,7 +148,7 @@ ForwardTrace FeedForwardNetwork::forward_trace(
     std::vector<double> s(layer.out_size());
     layer.affine(trace.activations.back(), s);
     std::vector<double> y(s.size());
-    for (std::size_t j = 0; j < s.size(); ++j) y[j] = activation_.value(s[j]);
+    activation_.apply(s, y);
     trace.preactivations.push_back(std::move(s));
     trace.activations.push_back(std::move(y));
   }

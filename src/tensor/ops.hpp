@@ -1,13 +1,20 @@
 // Dense kernels used by the forward/backward passes. gemv is the hot path
-// (one per layer per input); gemm backs mini-batch training. Both have
-// cache-blocked serial cores plus pool-parallel variants for wide layers.
+// (one per layer per input); gemm backs mini-batch training.
+//
+// Kernel invariant: gemv and gemv_csr compute each output row as one sum
+// that starts at 0.0 and adds w * x over the row's columns (or CSR edges)
+// left to right, one rounded multiply and one rounded add per term (no
+// fused multiply-add: x86-64 builds without -march never contract them).
+// Rows are computed four at a time with independent accumulators for speed,
+// which never changes any row's summation order, so outputs are
+// bit-identical to the one-row-at-a-time loop and CSR stays bit-identical
+// to dense.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "tensor/matrix.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wnf {
 
@@ -31,11 +38,6 @@ void gemv_transposed(const Matrix& a, std::span<const double> x,
 
 /// C = A * B. Requires a.cols() == b.rows(); resizes c to a.rows() x b.cols().
 void gemm(const Matrix& a, const Matrix& b, Matrix& c);
-
-/// Pool-parallel y = A * x, chunked over rows. Deterministic (each row is
-/// written by exactly one task). Falls back to serial for small matrices.
-void gemv_parallel(ThreadPool& pool, const Matrix& a,
-                   std::span<const double> x, std::span<double> y);
 
 /// A += alpha * x * y^T (rank-1 update; the backprop weight-gradient step).
 void rank1_update(Matrix& a, double alpha, std::span<const double> x,

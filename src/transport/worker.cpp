@@ -424,6 +424,12 @@ int worker_main(int fd, std::uint32_t worker_index, WorkerRings* rings) {
           rings->clear_request_waiting();
           continue;
         }
+      } else if (const RequestSlot* head = rings->peek_request();
+                 head != nullptr && head->epoch <= applied_epoch) {
+        // A probe was committed after serve_ring found the ring empty:
+        // serve it now. Parking here would publish no waiting flag, so
+        // the host would never ring the doorbell.
+        continue;
       }
       // else: the head probe is epoch-gated — its control frame is
       // already in flight on the socket, so the blocking read below is

@@ -5,6 +5,12 @@
 #include "util/contract.hpp"
 
 namespace wnf {
+namespace {
+
+// The pool whose worker_loop runs on this thread, if any.
+thread_local const ThreadPool* tls_owner = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -41,6 +47,7 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::worker_loop() {
+  tls_owner = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -72,7 +79,7 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   const std::size_t n = end - begin;
   if (n == 0) return;
   const std::size_t workers = pool.size();
-  if (workers <= 1 || n < 2) {
+  if (workers <= 1 || n < 2 || tls_owner == &pool) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }

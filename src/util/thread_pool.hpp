@@ -59,7 +59,10 @@ class ThreadPool {
 ///
 /// The range is split into contiguous chunks (at most 4 per worker) so
 /// per-iteration overhead stays negligible even for micro-bodies. Falls back
-/// to a serial loop when the range is tiny or the pool has one worker.
+/// to a serial loop when the range is tiny or the pool has one worker, and
+/// when the caller is one of `pool`'s own workers: waiting for the pool to
+/// go idle from inside it would wait on the caller itself, so a nested
+/// parallel_for runs inline instead of deadlocking.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
 

@@ -3,7 +3,11 @@
 // K-Lipschitz with the maximum slope at 0.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "core/lipschitz.hpp"
 #include "nn/activation.hpp"
@@ -83,6 +87,25 @@ TEST_P(ActivationLaw, EmpiricalLipschitzMatchesK) {
       theory::empirical_activation_lipschitz(f, -10.0, 10.0, 20000);
   EXPECT_LE(estimate, f.lipschitz() + 1e-6);
   EXPECT_GE(estimate, f.lipschitz() * 0.98);
+}
+
+TEST_P(ActivationLaw, ApplyMatchesValueBitForBit) {
+  // The per-layer path the forward passes use must equal the scalar one on
+  // every input, in place and out of place, special values included.
+  const auto f = phi();
+  std::vector<double> in{0.0, -0.0, 1e-310, -1e-310, 1e300, -1e300,
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (double x = -50.0; x <= 50.0; x += 0.37) in.push_back(x);
+  std::vector<double> out(in.size());
+  f.apply(in, out);
+  std::vector<double> in_place = in;
+  f.apply(in_place, in_place);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const auto want = std::bit_cast<std::uint64_t>(f.value(in[i]));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]), want) << in[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(in_place[i]), want) << in[i];
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,16 +3,19 @@
 // acceptance bar of the backend refactor: every AttackKind runs on every
 // backend, Injector↔Simulator are bit-equal at campaign scale under the
 // transmitted-value convention, serve-backend campaigns are bit-identical
-// across worker counts, and timeline-driven campaigns apply faults
-// mid-trial-stream.
+// across worker counts, timeline-driven campaigns apply faults
+// mid-trial-stream, and every backend's parallel run_trials (the forked
+// transport's included, where fork exists) matches the sequential default.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "exec/injector_backend.hpp"
 #include "exec/serve_backend.hpp"
 #include "exec/simulator_backend.hpp"
+#include "exec/transport_backend.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "nn/builder.hpp"
@@ -113,8 +116,19 @@ TEST(ExecBackend, ParallelRunTrialsMatchesSequentialDefault) {
   ServeBackendOptions serve_options;
   serve_options.replicas = 2;
   ServeBackend serve_backend(net, serve_options);
-  for (EvalBackend* backend : std::vector<EvalBackend*>{
-           &injector_backend, &simulator_backend, &serve_backend}) {
+  std::vector<EvalBackend*> backends{&injector_backend, &simulator_backend,
+                                     &serve_backend};
+  // The forked transport fleet shares the serving tail (pool-parallel
+  // trial scoring); platforms without POSIX fork skip just this backend.
+  std::unique_ptr<TransportBackend> transport_backend;
+  if (TransportBackend::available()) {
+    TransportBackendOptions transport_options;
+    transport_options.workers = 2;
+    transport_backend =
+        std::make_unique<TransportBackend>(net, transport_options);
+    backends.push_back(transport_backend.get());
+  }
+  for (EvalBackend* backend : backends) {
     const auto parallel = backend->run_trials(trials);
     const auto sequential = backend->EvalBackend::run_trials(trials);
     ASSERT_EQ(parallel.size(), sequential.size()) << backend->name();

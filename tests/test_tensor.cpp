@@ -1,12 +1,84 @@
-// Unit tests for src/tensor: matrix storage and the gemv/gemm kernels.
+// Unit tests for src/tensor: matrix storage and the gemv/gemm kernels,
+// including bit-for-bit pins of the row-blocked gemv / gemv_csr against a
+// one-row-at-a-time reference and of whole forward passes built on them.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
+
+#include "nn/builder.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
 namespace wnf {
 namespace {
+
+// The kernels' contract, written the plain way: each row summed from 0.0
+// over its columns (or CSR edges) left to right.
+void reference_gemv(const Matrix& a, std::span<const double> x,
+                    std::span<double> y) {
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    double sum = 0.0;
+    for (std::size_t c = 0; c < a.cols(); ++c) sum += a(r, c) * x[c];
+    y[r] = sum;
+  }
+}
+
+void reference_gemv_csr(const Matrix& a, std::span<const std::size_t> row_ptr,
+                        std::span<const std::size_t> cols,
+                        std::span<const double> x, std::span<double> y) {
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    double sum = 0.0;
+    for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+      sum += a(r, cols[e]) * x[cols[e]];
+    }
+    y[r] = sum;
+  }
+}
+
+// Bit equality, except that any NaN matches any NaN: IEEE 754 leaves the
+// payload of a NaN produced from two NaN operands to the implementation,
+// so NaN payloads are outside the kernels' bit-identity invariant. Signed
+// zeros, infinities and subnormals must match exactly.
+bool same_bits(double got, double want) {
+  if (std::isnan(got) || std::isnan(want)) {
+    return std::isnan(got) && std::isnan(want);
+  }
+  return std::bit_cast<std::uint64_t>(got) ==
+         std::bit_cast<std::uint64_t>(want);
+}
+
+// A value for the property tests: mostly normal draws, with signed zeros,
+// subnormals, infinities and NaN mixed in when `specials` is set.
+double draw_value(Rng& rng, bool specials) {
+  if (specials && rng.bernoulli(0.15)) {
+    constexpr double kSpecials[] = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -3.0 * std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 7.0,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+    };
+    return kSpecials[rng.uniform_index(std::size(kSpecials))];
+  }
+  return rng.normal();
+}
+
+std::string bits_hex(double value) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "0x%016llx",
+                static_cast<unsigned long long>(
+                    std::bit_cast<std::uint64_t>(value)));
+  return text;
+}
 
 TEST(Matrix, ZeroInitialised) {
   Matrix m(3, 4);
@@ -114,20 +186,124 @@ TEST(Ops, GemmMatchesGemvColumns) {
   }
 }
 
-TEST(Ops, GemvParallelMatchesSerial) {
-  Rng rng(11);
-  ThreadPool pool(4);
-  Matrix a(300, 300);  // above the parallel threshold
-  for (double& v : a.flat()) v = rng.normal();
-  std::vector<double> x(300);
-  for (double& v : x) v = rng.normal();
-  std::vector<double> serial(300);
-  std::vector<double> parallel(300);
-  gemv(a, x, serial);
-  gemv_parallel(pool, a, x, parallel);
-  for (std::size_t i = 0; i < 300; ++i) {
-    EXPECT_DOUBLE_EQ(parallel[i], serial[i]);
+TEST(Ops, GemvBitIdenticalToRowAtATimeReference) {
+  // Every shape from 1 to 13 rows (so every remainder of the 4-row block
+  // occurs, alone and after full blocks) against 1 to 70 columns.
+  Rng rng(21);
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t rows = 1 + trial % 13;
+    const std::size_t cols = 1 + rng.uniform_index(70);
+    const bool specials = trial % 2 == 1;
+    Matrix a(rows, cols);
+    for (double& v : a.flat()) v = draw_value(rng, specials);
+    std::vector<double> x(cols);
+    for (double& v : x) v = draw_value(rng, specials);
+    std::vector<double> want(rows);
+    std::vector<double> got(rows, 42.0);
+    reference_gemv(a, x, want);
+    gemv(a, x, got);
+    for (std::size_t r = 0; r < rows; ++r) {
+      ASSERT_TRUE(same_bits(got[r], want[r]))
+          << rows << "x" << cols << " row " << r << ": " << bits_hex(got[r])
+          << " vs " << bits_hex(want[r]);
+    }
   }
+}
+
+TEST(Ops, GemvCsrBitIdenticalToReferenceAndToDense) {
+  // CSR masks with empty rows and rows of unequal length, so the 4-row
+  // block's common prefix and each row's own tail are both exercised.
+  Rng rng(22);
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t rows = 1 + trial % 13;
+    const std::size_t cols = 1 + rng.uniform_index(70);
+    const bool specials = trial % 2 == 1;
+    Matrix a(rows, cols);
+    std::vector<std::size_t> row_ptr{0};
+    std::vector<std::size_t> edges;
+    for (std::size_t r = 0; r < rows; ++r) {
+      constexpr double kDensities[] = {0.0, 0.1, 0.5, 0.9, 1.0};
+      const double density =
+          kDensities[rng.uniform_index(std::size(kDensities))];
+      for (std::size_t c = 0; c < cols; ++c) {
+        if (rng.bernoulli(density)) {
+          edges.push_back(c);
+          a(r, c) = draw_value(rng, specials);
+        }
+      }
+      row_ptr.push_back(edges.size());
+    }
+    std::vector<double> x(cols);
+    for (double& v : x) v = draw_value(rng, specials);
+    std::vector<double> want(rows);
+    std::vector<double> got(rows, 42.0);
+    reference_gemv_csr(a, row_ptr, edges, x, want);
+    gemv_csr(a, row_ptr, edges, x, got);
+    for (std::size_t r = 0; r < rows; ++r) {
+      ASSERT_TRUE(same_bits(got[r], want[r]))
+          << rows << "x" << cols << " row " << r << ": " << bits_hex(got[r])
+          << " vs " << bits_hex(want[r]);
+    }
+    if (specials) continue;
+    // With every non-edge weight exactly 0.0 and finite inputs, skipping
+    // the non-edges changes no bit: CSR equals the dense product.
+    std::vector<double> dense(rows);
+    gemv(a, x, dense);
+    for (std::size_t r = 0; r < rows; ++r) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[r]),
+                std::bit_cast<std::uint64_t>(dense[r]))
+          << rows << "x" << cols << " row " << r;
+    }
+  }
+}
+
+// Output bits of a seeded 8->64->64->64 hard-sigmoid network on 8 seeded
+// probes, and of its random-sparse twin (same weight stream, CSR layers).
+// Hard sigmoid keeps libm out of the pin, so it holds for any toolchain
+// that does not fuse multiply-adds (every x86-64 build without -march).
+// The values were captured from the one-row-at-a-time kernels before the
+// row-blocked ones replaced them.
+nn::FeedForwardNetwork pinned_net(bool sparse) {
+  Rng rng(2017);
+  nn::NetworkBuilder builder(8);
+  builder.activation(nn::ActivationKind::kHardSigmoid, 0.5)
+      .hidden_layers({64, 64, 64})
+      .init(nn::InitKind::kUniform, 0.3);
+  if (sparse) builder.topology(nn::Topology::random_sparse(0.25));
+  return builder.build(rng);
+}
+
+void expect_pinned_outputs(const nn::FeedForwardNetwork& net,
+                           const std::uint64_t (&pinned)[8]) {
+  Rng rng(14);
+  nn::Workspace ws;
+  for (std::size_t p = 0; p < std::size(pinned); ++p) {
+    std::vector<double> x(8);
+    for (double& v : x) v = rng.uniform(-1.0, 1.0);
+    const double out = net.evaluate(x, ws);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out), pinned[p])
+        << "probe " << p << " gave " << bits_hex(out);
+  }
+}
+
+TEST(Ops, DenseForwardOutputBitsPinned) {
+  constexpr std::uint64_t kPinned[8] = {
+      0xbfe307a89d67a705, 0xbfe4177c1a4a7f1f, 0xbfe34119d218241f,
+      0xbfe3e0b49d6d9548, 0xbfe379348ff0004a, 0xbfe754f6adf46be8,
+      0xbfe2810f309de43e, 0xbfe5c004b3db9f30};
+  expect_pinned_outputs(pinned_net(false), kPinned);
+}
+
+TEST(Ops, SparseForwardOutputBitsPinned) {
+  const auto net = pinned_net(true);
+  for (std::size_t l = 1; l <= net.layer_count(); ++l) {
+    ASSERT_TRUE(net.layer(l).is_sparse()) << "layer " << l;
+  }
+  constexpr std::uint64_t kPinned[8] = {
+      0xbfe5764e40b55af2, 0xbfe59264c41dcba0, 0xbfe5b1aae14bc82d,
+      0xbfe5ff60209cb440, 0xbfe5835666129c73, 0xbfe5736f56e1271e,
+      0xbfe4f807e8ec6268, 0xbfe59406fb0a9753};
+  expect_pinned_outputs(net, kPinned);
 }
 
 TEST(Ops, Rank1Update) {

@@ -6,6 +6,7 @@
 // scale, transmitted-value convention — with SimulatorBackend).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -1409,6 +1410,75 @@ TEST(WorkerHostRings, ScriptedSigkillOnRingsMatchesSocketPath) {
   EXPECT_GE(host.restarts(), 1u);
   EXPECT_GE(host.resubmitted(), 0u);
   EXPECT_EQ(host.report().completed, workload.size());
+}
+
+TEST(WorkerHostRings, ClosedLoopBatchesNeverStall) {
+  SKIP_WITHOUT_TRANSPORT();
+  // Regression for a lost wakeup in the worker's idle path: a probe
+  // committed after the worker's ring burst found the ring empty sent it
+  // into the blocking socket read without publishing its waiting flag, so
+  // the host never rang the doorbell and both sides waited for good.
+  // Thousands of closed-loop batches cross that window many times. A side
+  // thread SIGKILLs the workers whenever one batch overruns its deadline;
+  // the host's EOF recovery then resubmits and the batch completes, so a
+  // stall is counted instead of hanging the test.
+  Rng net_rng(8);
+  const auto net = nn::NetworkBuilder(8)
+                       .activation(nn::ActivationKind::kSigmoid, 1.0)
+                       .hidden(16)
+                       .hidden(16)
+                       .init(nn::InitKind::kUniform, 0.5)
+                       .build(net_rng);
+  Rng input_rng(16);
+  std::vector<std::vector<double>> workload(512);
+  for (auto& x : workload) {
+    x.resize(8);
+    for (double& v : x) v = input_rng.uniform();
+  }
+
+  TransportConfig config;
+  config.workers = 2;
+  config.batch = 64;
+  WorkerHost host(net, config);
+  if (!host.rings_active()) {
+    GTEST_SKIP() << "shared-memory rings unavailable on this platform";
+  }
+
+  constexpr int kBatches = 3000;
+  constexpr auto kBatchDeadline = std::chrono::seconds(5);
+  std::atomic<int> batches_done{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> stalls{0};
+  std::thread deadline([&] {
+    int seen = -1;
+    auto since = std::chrono::steady_clock::now();
+    while (!stop.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const int done = batches_done.load();
+      const auto now = std::chrono::steady_clock::now();
+      if (done != seen) {
+        seen = done;
+        since = now;
+      } else if (now - since > kBatchDeadline) {
+        stalls.fetch_add(1);
+        for (std::size_t w = 0; w < config.workers; ++w) {
+          host.force_kill_worker(w);
+        }
+        since = now;
+      }
+    }
+  });
+  bool complete = true;
+  for (int b = 0; b < kBatches && complete; ++b) {
+    complete = host.submit_batch(workload) == workload.size() &&
+               host.drain().size() == workload.size();
+    batches_done.fetch_add(1);
+  }
+  stop.store(true);
+  deadline.join();
+  EXPECT_TRUE(complete);
+  EXPECT_EQ(batches_done.load(), kBatches);
+  EXPECT_EQ(stalls.load(), 0);
 }
 
 // ------------------------------------------------------- TransportBackend

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -173,6 +179,41 @@ TEST(ParallelFor, OffsetRange) {
   std::atomic<long> sum{0};
   parallel_for(pool, 10, 20, [&](std::size_t i) { sum.fetch_add(long(i)); });
   EXPECT_EQ(sum.load(), 145);  // 10 + .. + 19
+}
+
+TEST(ParallelFor, NestedCallsCoverEveryPairExactlyOnce) {
+  // parallel_for from inside one of the pool's own tasks runs inline: a
+  // worker waiting for its pool to go idle would wait on itself. A side
+  // thread ends the process if the loops outlive a deadline, so a
+  // regression fails instead of hanging the suite.
+  std::mutex mutex;
+  std::condition_variable done_cv;
+  bool done = false;
+  std::thread deadline([&] {
+    std::unique_lock lock(mutex);
+    if (!done_cv.wait_for(lock, std::chrono::seconds(20),
+                          [&] { return done; })) {
+      std::fprintf(stderr, "nested parallel_for did not return in 20 s\n");
+      std::_Exit(EXIT_FAILURE);
+    }
+  });
+
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 24;
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  parallel_for(pool, 0, kOuter, [&](std::size_t i) {
+    parallel_for(pool, 0, kInner, [&, i](std::size_t j) {
+      hits[i * kInner + j].fetch_add(1);
+    });
+  });
+  {
+    std::lock_guard lock(mutex);
+    done = true;
+  }
+  done_cv.notify_one();
+  deadline.join();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelSum, MatchesSerialSum) {
