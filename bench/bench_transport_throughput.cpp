@@ -1,23 +1,19 @@
 // Transport-deployment throughput: what crossing a process boundary costs
 // relative to the in-process replica pool. The same workload is served by
 // serve::ReplicaPool (threads sharing the address space) and by
-// transport::WorkerHost (worker processes behind the framed wire protocol)
-// at 1/2/8 workers — same seed, so both runtimes and every worker count
-// compute bit-identical outputs, and the table isolates pure transport
-// overhead (frame encode/decode, socket hops, poll scheduling). The
-// transport serves each worker count twice: over the framed socket path
-// (use_rings=false) and over the shared-memory SPSC rings, whose rows
-// show zero data frames — probes ride mmap'd slots, the socket carries
-// only doorbells.
+// transport::WorkerHost (worker processes fed through shared-memory SPSC
+// rings) at 1/2/8 workers — same seed, so both runtimes and every worker
+// count compute bit-identical outputs, and the table isolates pure
+// transport overhead (slot writes, doorbells, poll scheduling).
 //
-// A batch-size sweep (1/8/64 probes per BatchRequest frame) isolates the
-// syscall amortisation the batched wire frames buy; a SIGKILL row prices
-// real crash recovery in wall time; and a persistent-fleet vs
-// fork-per-campaign pair prices what rebind() saves when the same fleet
-// serves repeated campaigns instead of re-forking for each.
+// A window sweep (4/32/256 in-flight probes per worker) shows how much
+// pipelining the rings need; a SIGKILL row prices real crash recovery in
+// wall time; and a persistent-fleet vs fork-per-campaign pair prices what
+// rebind() saves when the same fleet serves repeated campaigns instead of
+// re-forking for each.
 //
 // Run: ./bench_transport_throughput [requests=2048] [width=64] [depth=2]
-//                                   [max_workers=8] [batch=8] [pipeline=4]
+//                                   [max_workers=8] [window=32]
 //                                   [campaigns=5] [seed=1]
 #include <chrono>
 #include <cmath>
@@ -39,8 +35,7 @@ int main(int argc, char** argv) {
   const auto depth = static_cast<std::size_t>(args.get_int("depth", 2));
   const auto max_workers =
       static_cast<std::size_t>(args.get_int("max_workers", 8));
-  const auto batch = static_cast<std::size_t>(args.get_int("batch", 8));
-  const auto pipeline = static_cast<std::size_t>(args.get_int("pipeline", 4));
+  const auto window = static_cast<std::size_t>(args.get_int("window", 32));
   const auto campaigns = std::max<std::size_t>(
       1, static_cast<std::size_t>(args.get_int("campaigns", 5)));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -48,7 +43,7 @@ int main(int argc, char** argv) {
 
   bench::bench_header(
       "transport throughput — worker processes vs in-process replicas",
-      "the wire protocol prices process isolation; identical seeds keep "
+      "the rings price process isolation; identical seeds keep "
       "every runtime and worker count bit-identical");
 
   if (!transport::transport_available()) {
@@ -66,20 +61,18 @@ int main(int argc, char** argv) {
   const dist::LatencyModel latency{dist::LatencyKind::kHeavyTail, 1.0, 50.0,
                                    0.2};
 
-  std::printf(
-      "network %zux%zu, %zu requests, batch %zu, pipeline depth %zu\n\n",
-      width, depth, requests, batch, pipeline);
+  std::printf("network %zux%zu, %zu requests, window %zu\n\n", width,
+              depth, requests, window);
 
-  Table table({"runtime", "workers", "batch", "wall s", "req/s", "frames",
+  Table table({"runtime", "workers", "window", "wall s", "req/s",
                "restarts", "resubmitted", "output checksum"});
   const auto add_row = [&](const std::string& runtime, std::size_t workers,
-                           std::size_t batch_size,
+                           std::size_t window_size,
                            const serve::ServeReport& report, double checksum) {
     table.add_row({runtime, std::to_string(workers),
-                   std::to_string(batch_size),
+                   std::to_string(window_size),
                    Table::num(report.wall_seconds, 3),
                    Table::num(report.throughput_rps, 0),
-                   std::to_string(report.batch_frames),
                    std::to_string(report.worker_restarts),
                    std::to_string(report.resubmitted),
                    Table::num(checksum, 9)});
@@ -101,76 +94,48 @@ int main(int argc, char** argv) {
     WNF_ASSERT(checksum == reference_checksum);
   }
 
-  const auto make_config = [&](std::size_t workers, std::size_t batch_size,
-                               bool use_rings) {
+  const auto make_config = [&](std::size_t workers, std::size_t window_size) {
     transport::TransportConfig config;
     config.workers = workers;
     config.queue_capacity = requests;
-    config.batch = batch_size;
-    config.pipeline_depth = pipeline;
+    config.window = window_size;
     config.latency = latency;
     config.seed = seed + 7;
-    config.use_rings = use_rings;
     return config;
   };
 
-  // Framed socket path first (use_rings=false pins it), then the
-  // shared-memory ring hot path: same workload, same checksums, zero data
-  // frames — the socket carries only doorbells and control.
   for (std::size_t workers = 1; workers <= max_workers; workers *= 2) {
-    transport::WorkerHost host(net, make_config(workers, batch, false));
+    transport::WorkerHost host(net, make_config(workers, window));
     host.submit_batch(workload);
     double checksum = 0.0;
     for (const auto& result : host.drain()) checksum += result.output;
-    add_row("transport (socket)", workers, batch, host.report(), checksum);
-    WNF_ASSERT(checksum == reference_checksum);
-  }
-  for (std::size_t workers = 1; workers <= max_workers; workers *= 2) {
-    transport::WorkerHost host(net, make_config(workers, batch, true));
-    host.submit_batch(workload);
-    double checksum = 0.0;
-    for (const auto& result : host.drain()) checksum += result.output;
-    add_row("transport (rings)", workers, batch, host.report(), checksum);
+    add_row("transport (rings)", workers, window, host.report(), checksum);
     WNF_ASSERT(checksum == reference_checksum);
   }
 
-  // Batch-size sweep: same deployment, 1/8/64 probes per frame. The
-  // checksum never moves; only the frame count (and the syscall bill) does.
-  // The ring sweep serves the identical sweep slot-by-slot — its "batch"
-  // is the submission burst, not a frame size, and its frame count is 0.
+  // Window sweep: same deployment, 4/32/256 in-flight probes per worker.
+  // The checksum never moves; only how far the host runs ahead does.
   const std::size_t sweep_workers = std::max<std::size_t>(2, max_workers / 2);
-  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{8},
-                                       std::size_t{64}}) {
-    transport::WorkerHost host(net,
-                               make_config(sweep_workers, batch_size, false));
+  for (const std::size_t window_size : {std::size_t{4}, std::size_t{32},
+                                        std::size_t{256}}) {
+    transport::WorkerHost host(net, make_config(sweep_workers, window_size));
     host.submit_batch(workload);
     double checksum = 0.0;
     for (const auto& result : host.drain()) checksum += result.output;
-    add_row("socket sweep", sweep_workers, batch_size, host.report(),
+    add_row("window sweep", sweep_workers, window_size, host.report(),
             checksum);
     WNF_ASSERT(checksum == reference_checksum);
   }
-  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{8},
-                                       std::size_t{64}}) {
-    transport::WorkerHost host(net,
-                               make_config(sweep_workers, batch_size, true));
-    host.submit_batch(workload);
-    double checksum = 0.0;
-    for (const auto& result : host.drain()) checksum += result.output;
-    add_row("ring sweep", sweep_workers, batch_size, host.report(), checksum);
-    WNF_ASSERT(checksum == reference_checksum);
-  }
 
-  // Crash recovery priced on the default (ring) path: one worker is
-  // SIGKILLed a quarter of the way in and respawned halfway through;
-  // outputs still match bit for bit.
+  // Crash recovery priced: one worker is SIGKILLed a quarter of the way in
+  // and respawned halfway through; outputs still match bit for bit.
   {
-    transport::WorkerHost host(net, make_config(sweep_workers, batch, true));
+    transport::WorkerHost host(net, make_config(sweep_workers, window));
     host.set_crash_script({{0, requests / 4, requests / 2}});
     host.submit_batch(workload);
     double checksum = 0.0;
     for (const auto& result : host.drain()) checksum += result.output;
-    add_row("transport + SIGKILL", sweep_workers, batch, host.report(),
+    add_row("transport + SIGKILL", sweep_workers, window, host.report(),
             checksum);
     WNF_ASSERT(checksum == reference_checksum);
     WNF_ASSERT(host.report().worker_restarts >= 1);
@@ -197,7 +162,7 @@ int main(int argc, char** argv) {
   // campaign, untimed — after it the fleet simply exists, which is the
   // amortisation claim), then every further campaign costs rebind + serve.
   // The fork path pays fork + bind + serve every single time.
-  transport::WorkerHost fleet(net, make_config(sweep_workers, batch, true));
+  transport::WorkerHost fleet(net, make_config(sweep_workers, window));
   const double persistent_checksum = campaign_checksum(fleet);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t c = 0; c < campaigns; ++c) {
@@ -207,8 +172,7 @@ int main(int argc, char** argv) {
   const auto t1 = std::chrono::steady_clock::now();
   WNF_ASSERT(fleet.total_spawns() == sweep_workers);
   for (std::size_t c = 0; c < campaigns; ++c) {
-    transport::WorkerHost fresh(net,
-                                make_config(sweep_workers, batch, true));
+    transport::WorkerHost fresh(net, make_config(sweep_workers, window));
     WNF_ASSERT(campaign_checksum(fresh) == persistent_checksum);
   }
   const auto t2 = std::chrono::steady_clock::now();
@@ -228,9 +192,8 @@ int main(int argc, char** argv) {
       forked_s / persistent_s);
 
   std::printf(
-      "\nevery row sums to the same checksum: process isolation, the wire\n"
-      "protocol, batching, rebinding, and even a SIGKILLed worker change\n"
-      "where (and in how many frames) requests run, never what they\n"
-      "compute.\n");
+      "\nevery row sums to the same checksum: process isolation, the rings,\n"
+      "the window, rebinding, and even a SIGKILLed worker change where\n"
+      "requests run, never what they compute.\n");
   return 0;
 }

@@ -8,7 +8,7 @@
 //                   current=BENCH_pr5.json [tolerance=0.20] [strict=0]
 //
 // Scenarios mirror the `smoke`-labelled benches (serve throughput,
-// campaign backends, transport throughput with its batch sweep and
+// campaign backends, transport throughput with its window sweep and
 // persistent-vs-fork pair) at fixed small sizes, so the file is a perf
 // snapshot of the same paths CI already exercises for correctness.
 //
@@ -20,7 +20,7 @@
 //    moves a scenario and its calibration together.
 //  - Checksums are compared but only warn by default: each emit run
 //    already asserts bit-identity *between* its own runtimes (pool vs
-//    transport vs batch sizes), while cross-toolchain libm differences
+//    transport vs windows), while cross-toolchain libm differences
 //    (exp() in sigmoid) legitimately move absolute outputs. strict=1
 //    promotes checksum mismatches to failures for same-toolchain use.
 #include <algorithm>
@@ -421,14 +421,13 @@ BenchFile measure() {
   }
 
   if (file.transport_available) {
-    const auto transport_config = [&](std::size_t batch, bool use_rings) {
+    const auto transport_config = [&](std::size_t window) {
       transport::TransportConfig config;
       config.workers = 2;
       config.queue_capacity = workload.size();
-      config.batch = batch;
+      config.window = window;
       config.latency = latency;
       config.seed = serve_seed;
-      config.use_rings = use_rings;
       return config;
     };
     const auto serve_all = [&](transport::WorkerHost& host) {
@@ -438,40 +437,18 @@ BenchFile measure() {
       return checksum;
     };
 
-    // Batch sweep: construction (fork + bind) outside the timed region —
-    // these rows track the steady wire cost per request. The socket rows
-    // pin use_rings=false so they keep pricing the framed path; the
-    // ring_batch rows serve the identical sweep over the shared-memory
-    // SPSC rings (zero data frames; the socket carries only doorbells)
-    // and must land the same checksums.
+    // Window sweep: construction (fork + bind) outside the timed region —
+    // these rows track the steady ring cost per request. They mirror
+    // serve_throughput/pool_w2's structure — one persistent host, ids
+    // advancing across repetitions — so the pair prices exactly the
+    // transport seam: pool_w2's timed window and ring_batchN's timed
+    // window serve the same id ranges of the same stream. The untimed
+    // first window (ids 0..N, faults firing) pins bit-identity against the
+    // pool reference. Row names keep the batch sizes whose pipelines set
+    // these windows (4 x 1, 4 x 8, 4 x 64), so the rows stay comparable
+    // across snapshots.
     for (const std::size_t batch : {1u, 8u, 64u}) {
-      transport::WorkerHost host(net, transport_config(batch, false));
-      host.set_timeline(bench_timeline());
-      double checksum = 0.0;
-      char name[64];
-      std::snprintf(name, sizeof(name), "transport_throughput/batch%zu",
-                    batch);
-      BenchEntry entry = time_scenario(name, workload.size(), [&] {
-        host.rebind(net);  // fresh ids, same deployment, zero forks
-        host.set_timeline(bench_timeline());
-        checksum = serve_all(host);
-      });
-      WNF_ASSERT(checksum == reference_checksum &&
-                 "transport must serve the pool's exact outputs");
-      entry.checksum = checksum;
-      file.benches.push_back(std::move(entry));
-    }
-    // The ring rows mirror serve_throughput/pool_w2's structure — one
-    // persistent host, ids advancing across repetitions — so the pair
-    // prices exactly the transport seam: pool_w2's timed window and
-    // ring_batchN's timed window serve the same id ranges of the same
-    // stream. (The socket rows above rebind per repetition instead; their
-    // timed windows replay ids 0..N with the fault segments live, so they
-    // are not directly comparable to pool_w2 — the ring rows are.) The
-    // untimed first window (ids 0..N, faults firing) pins bit-identity
-    // against the pool reference.
-    for (const std::size_t batch : {1u, 8u, 64u}) {
-      transport::WorkerHost host(net, transport_config(batch, true));
+      transport::WorkerHost host(net, transport_config(4 * batch));
       host.set_timeline(bench_timeline());
       WNF_ASSERT(serve_all(host) == reference_checksum &&
                  "rings must serve the pool's exact outputs");
@@ -498,7 +475,7 @@ BenchFile measure() {
     };
     double persistent_checksum = 0.0;
     {
-      transport::WorkerHost fleet(net, transport_config(8, true));
+      transport::WorkerHost fleet(net, transport_config(32));
       persistent_checksum = serve_campaign(fleet);  // warm-up: the one fork
       BenchEntry entry =
           time_scenario("transport_throughput/persistent_rebind",
@@ -518,8 +495,8 @@ BenchFile measure() {
           time_scenario("transport_throughput/fork_per_campaign",
                         campaigns * campaign_requests, [&] {
                           for (std::size_t c = 0; c < campaigns; ++c) {
-                            transport::WorkerHost fresh(
-                                net, transport_config(8, true));
+                            transport::WorkerHost fresh(net,
+                                                        transport_config(32));
                             checksum = serve_campaign(fresh);
                           }
                         });

@@ -27,7 +27,7 @@
 // requests that suffered it (no coordinated omission).
 //
 // Run: ./open_loop_replay [seed=5] [requests=240] [workers=2]
-//                         [overload=2.0] [admission=32] [batch=8]
+//                         [overload=2.0] [admission=32]
 //                         [backend=auto] [trace=<file>] [metrics=<file>]
 // backend= auto (transport if the platform has fork/socketpair, else the
 // in-process pool), transport, or serve.
@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
   const double overload = args.get_double("overload", 2.0);
   const auto admission =
       static_cast<std::size_t>(args.get_int("admission", 32));
-  const auto batch = static_cast<std::size_t>(args.get_int("batch", 8));
   std::string backend = args.get_string("backend", "auto");
   const std::string trace_path = args.get_string("trace", "");
   const std::string metrics_path = args.get_string("metrics", "");
@@ -150,7 +149,6 @@ int main(int argc, char** argv) {
           transport::TransportConfig config;
           config.workers = workers;
           config.queue_capacity = queue;
-          config.batch = batch;
           config.latency = latency;
           config.straggler_cut = straggler_cut;
           config.seed = serve_seed;
@@ -284,27 +282,21 @@ int main(int argc, char** argv) {
   overall.print(std::cout);
 
   Table tenants({"tenant", "offered", "completed", "p50 s", "p99 s",
-                 "frames", "result frames", "probes/frame"});
+                 "restarts", "resubmitted"});
   for (std::size_t t = 0; t < 2; ++t) {
     const auto& ts = open.tenants[t];
     const auto fr = fleet_report(t);
-    tenants.add_row(
-        {std::to_string(t), std::to_string(ts.offered),
-         std::to_string(ts.completed), Table::sci(ts.p50, 2),
-         Table::sci(ts.p99, 2), std::to_string(fr.batch_frames),
-         std::to_string(fr.result_frames),
-         std::to_string(fr.batch_probes_min) + ".." +
-             std::to_string(fr.batch_probes_max)});
+    tenants.add_row({std::to_string(t), std::to_string(ts.offered),
+                     std::to_string(ts.completed), Table::sci(ts.p50, 2),
+                     Table::sci(ts.p99, 2),
+                     std::to_string(fr.worker_restarts),
+                     std::to_string(fr.resubmitted)});
   }
   tenants.print(std::cout);
   if (use_transport) {
-    std::printf(
-        "(result frames < frames: workers coalesced finished probes under\n"
-        " pipeline pressure; probes/frame ramping 1..%zu is the adaptive\n"
-        " dispatcher. fleet0 also lost worker 0 to SIGKILL on ids "
-        "[%llu,%llu).)\n",
-        batch, static_cast<unsigned long long>(crash_lo),
-        static_cast<unsigned long long>(crash_hi));
+    std::printf("(fleet0 lost worker 0 to SIGKILL on ids [%llu,%llu).)\n",
+                static_cast<unsigned long long>(crash_lo),
+                static_cast<unsigned long long>(crash_hi));
   }
 
   // The audit: with shedding disabled every arrival was admitted, so each

@@ -16,17 +16,16 @@
 // injector (the analytic path), or sim (a second simulator).
 //
 // Run: ./recurring_failures [trials=120] [probes=8] [replicas=4] [seed=11]
-//                           [backend=serve] [batch=8]
+//                           [backend=serve]
 //                           [trace=out.json] [metrics=out.json]
 //                           [snapshot=out.jsonl]
-// (batch= sets the transport backend's probes-per-frame; bit-identical at
-// any batch size. trace= exports a strict-JSON Chrome trace of the run,
-// metrics= the end-of-run registry snapshots, snapshot= attaches an
-// obs::Snapshotter streaming fixed-interval windows DURING the campaign —
-// on the transport backend the stream's sources include the fleet
-// registry, whose campaign rebind registers as a "reset":true window
-// whenever a window boundary lands between deployments. All
-// three exports are re-read and strict-linted before exit.)
+// (trace= exports a strict-JSON Chrome trace of the run, metrics= the
+// end-of-run registry snapshots, snapshot= attaches an obs::Snapshotter
+// streaming fixed-interval windows DURING the campaign — on the transport
+// backend the stream's sources include the fleet registry, whose campaign
+// rebind registers as a "reset":true window whenever a window boundary
+// lands between deployments. All three exports are re-read and
+// strict-linted before exit.)
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -113,7 +112,6 @@ int main(int argc, char** argv) {
       60, static_cast<std::size_t>(args.get_int("trials", 120)));
   const auto probes = static_cast<std::size_t>(args.get_int("probes", 8));
   const auto replicas = static_cast<std::size_t>(args.get_int("replicas", 4));
-  const auto batch = static_cast<std::size_t>(args.get_int("batch", 8));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
   const std::string backend = args.get_string("backend", "serve");
   const std::string trace_path = args.get_string("trace", "");
@@ -190,7 +188,6 @@ int main(int argc, char** argv) {
   } else if (backend == "transport") {
     exec::TransportBackendOptions transport_options;
     transport_options.workers = replicas;
-    transport_options.batch = batch;
     // Every recurring burst also SIGKILLs a real worker process at the
     // burst's first request and respawns it at the recovery boundary
     // (request ids are trial-major probe indices). replicas=0 means

@@ -12,26 +12,20 @@
 //
 // The same scenario runs on any execution layer via backend=:
 //   serve      (default) in-process replica pool, one simulator per thread
-//   transport  worker *processes* over the wire protocol — the crash
-//              window also SIGKILLs a real worker, which the host heals
+//   transport  worker *processes* fed through shared-memory rings — the
+//              crash window also SIGKILLs a real worker, which the host
+//              heals
 //   sim        one message-level simulator, driven request by request
 //   injector   the analytic path (no clocks; deviations only)
 // All four serve bit-identical outputs for the same seed wherever outputs
 // are latency-independent, and serve/transport are bit-identical always.
 //
 // Run: ./serve_deployment [seed=5] [requests=600] [replicas=4]
-//                         [backend=serve] [batch=8] [ring=1]
-//                         [trace=<file>] [metrics=<file>]
-// (batch= sets the probes-per-frame of the transport backend's batched
-// wire protocol; ring= picks the transport data path — 1 for the
-// shared-memory SPSC rings, 0 for socket frames — and the transport
-// run ends with a ring-vs-socket throughput comparison over the same
-// traffic; outputs are bit-identical at any batch size and on either
-// path. trace= enables tracing and exports the run as Chrome
-// trace_event JSON; metrics= exports the deployment's metric registry
-// as JSON — both self-validated with a strict JSON lint.)
+//                         [backend=serve] [trace=<file>] [metrics=<file>]
+// (trace= enables tracing and exports the run as Chrome trace_event JSON;
+// metrics= exports the deployment's metric registry as JSON — both
+// self-validated with a strict JSON lint.)
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -87,8 +81,6 @@ int main(int argc, char** argv) {
   const auto requests = std::max<std::size_t>(
       30, static_cast<std::size_t>(args.get_int("requests", 600)));
   const auto replicas = static_cast<std::size_t>(args.get_int("replicas", 4));
-  const auto batch = static_cast<std::size_t>(args.get_int("batch", 8));
-  const bool use_rings = args.get_int("ring", 1) != 0;
   const std::string backend = args.get_string("backend", "serve");
   const std::string trace_path = args.get_string("trace", "");
   const std::string metrics_path = args.get_string("metrics", "");
@@ -178,10 +170,6 @@ int main(int argc, char** argv) {
   std::vector<serve::RequestResult> reference;
   serve::ServeReport report;
   bool have_report = false;
-  // Ring-vs-socket throughput over the same traffic ([0]=socket frames,
-  // [1]=shared-memory rings); filled on the transport backend only.
-  double mode_rps[2] = {0.0, 0.0};
-  bool have_ring_compare = false;
   /// Registry snapshots taken while the deployments are still alive (the
   /// serial sim/injector backends have none; the export is then just the
   /// series-less empty registry list).
@@ -221,8 +209,6 @@ int main(int argc, char** argv) {
     transport::TransportConfig config;
     config.workers = replicas;
     config.queue_capacity = requests;
-    config.batch = batch;
-    config.use_rings = use_rings;
     config.latency = latency;
     config.straggler_cut = straggler_cut;
     config.seed = serve_seed;
@@ -237,39 +223,6 @@ int main(int argc, char** argv) {
     if (!metrics_path.empty()) {
       registries.push_back({"host", host.metrics().snapshot()});
     }
-    // Serve the same faulty traffic once per data path — shared-memory
-    // rings and socket frames — timing each and pinning both to the
-    // deployment's outputs bit for bit (no crash script here: SIGKILL
-    // exercises recovery, not outputs, and the comparison wants the
-    // steady-state cost of the transport itself).
-    for (int mode = 0; mode < 2; ++mode) {
-      transport::TransportConfig side = config;
-      side.use_rings = mode == 1;
-      transport::WorkerHost deployment(net, side);
-      deployment.set_timeline(timeline);
-      std::vector<serve::RequestResult> out;
-      const auto start = std::chrono::steady_clock::now();
-      for (std::size_t at = 0; at < requests; at += 100) {
-        const std::size_t take = std::min<std::size_t>(100, requests - at);
-        deployment.submit_batch({workload.data() + at, take});
-        for (auto& r : deployment.drain()) out.push_back(r);
-      }
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      for (std::size_t id = 0; id < requests; ++id) {
-        if (out[id].output != served[id].output) {
-          std::fprintf(stderr,
-                       "%s path diverged from the deployment at request "
-                       "%zu\n",
-                       mode == 1 ? "ring" : "socket", id);
-          return 1;
-        }
-      }
-      mode_rps[mode] = static_cast<double>(requests) / seconds;
-    }
-    have_ring_compare = true;
   } else {
     // Request-by-request on a serial exec backend: injector (analytic) or
     // simulator (message path). Faults install at segment boundaries.
@@ -344,7 +297,7 @@ int main(int argc, char** argv) {
     print_banner(std::cout, "deployment report");
     Table summary({"replicas", "completed", "rejected", "wall s", "req/s",
                    "p50 t", "p95 t", "p99 t", "resets", "restarts",
-                   "resubmitted", "frames"});
+                   "resubmitted"});
     summary.add_row({std::to_string(report.replicas),
                      std::to_string(report.completed),
                      std::to_string(report.rejected),
@@ -354,8 +307,7 @@ int main(int argc, char** argv) {
                      Table::num(report.p99, 4),
                      std::to_string(report.resets_sent),
                      std::to_string(report.worker_restarts),
-                     std::to_string(report.resubmitted),
-                     std::to_string(report.batch_frames)});
+                     std::to_string(report.resubmitted)});
     summary.print(std::cout);
   }
   if (backend == "transport") {
@@ -364,15 +316,6 @@ int main(int argc, char** argv) {
         "requests completed on the survivors, it respawned at the recovery\n"
         "boundary, and every output is still bit-identical to the threaded\n"
         "pool at any worker count.\n");
-    if (have_ring_compare && mode_rps[0] > 0.0 && mode_rps[1] > 0.0) {
-      std::printf(
-          "\nring-vs-socket on the same traffic (%zu workers, batch %zu, "
-          "bit-identical outputs):\n"
-          "  shared-memory rings %10.0f req/s\n"
-          "  socket frames       %10.0f req/s   (rings %.2fx)\n",
-          replicas, batch, mode_rps[1], mode_rps[0],
-          mode_rps[1] / mode_rps[0]);
-    }
   } else {
     std::printf(
         "\nthe crash window's deviation stays inside the crash Fep bound;\n"

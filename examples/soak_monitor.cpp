@@ -25,7 +25,7 @@
 // continuity, postmortem count/schema, watchdog detection).
 //
 // Run: ./soak_monitor [bursts=4] [burst=96] [workers=4] [seed=7]
-//                     [interval_ms=50] [ring=1]
+//                     [interval_ms=50]
 //                     [snapshot=soak_snapshot.jsonl]
 //                     [postmortems=soak_postmortems]
 #include <sys/stat.h>
@@ -171,7 +171,6 @@ int main(int argc, char** argv) {
       2, static_cast<std::size_t>(args.get_int("workers", 4)));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   const double interval_s = args.get_double("interval_ms", 50.0) / 1e3;
-  const bool ring = args.get_bool("ring", true);
   const std::string snapshot_path =
       args.get_string("snapshot", "soak_snapshot.jsonl");
   const std::string postmortem_dir =
@@ -222,8 +221,6 @@ int main(int argc, char** argv) {
   transport::TransportConfig base;
   base.workers = workers;
   base.queue_capacity = total;
-  base.batch = 8;
-  base.use_rings = ring;
   base.seed = seed + 2;
 
   const auto run_soak = [&](transport::WorkerHost& host) {
@@ -234,8 +231,8 @@ int main(int argc, char** argv) {
   };
 
   std::printf("soak: %zu requests, %zu bursts x %zu workers killed, "
-              "%zu-worker fleet, rings=%d\n\n",
-              total, bursts, victims, workers, ring ? 1 : 0);
+              "%zu-worker fleet\n\n",
+              total, bursts, victims, workers);
 
   // --- 1. quiet baseline ---------------------------------------------------
   std::printf("[1/3] quiet run (no monitoring)\n");

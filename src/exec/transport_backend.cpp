@@ -14,13 +14,10 @@ transport::TransportConfig host_config(const TransportBackendOptions& options,
   transport::TransportConfig config;
   config.workers = options.workers;
   config.queue_capacity = queue_capacity;
-  config.batch = options.batch;
-  config.pipeline_depth = options.pipeline_depth;
   config.sim = options.sim;
   config.latency = options.latency;
   config.straggler_cut = options.straggler_cut;
   config.seed = options.seed;
-  config.use_rings = options.use_rings;
   return config;
 }
 

@@ -1,13 +1,13 @@
 // The deployment-path backend: transport::WorkerHost behind the EvalBackend
 // seam. The fourth execution layer — after the analytic Injector, the
 // in-process message simulator, and the threaded serving pool — runs every
-// campaign trial in a separate worker *process* over the framed wire
-// protocol, with crash faults optionally realised as real SIGKILLed
-// workers. Because the host ships each request's split-off Rng state and
-// the timeline segment plans over the wire, results are bit-identical to
-// ServeBackend (same per-request split tree) and, where outputs are
-// latency-independent, to SimulatorBackend and the Injector — so every
-// cross-check and timeline scenario runs on real IPC unchanged.
+// campaign trial in a separate worker *process* fed through shared-memory
+// rings, with crash faults optionally realised as real SIGKILLed workers.
+// Because the host ships each request's split-off Rng state in its ring
+// slot and the timeline segment plans as control frames, results are
+// bit-identical to ServeBackend (same per-request split tree) and, where
+// outputs are latency-independent, to SimulatorBackend and the Injector —
+// so every cross-check and timeline scenario runs on real IPC unchanged.
 #pragma once
 
 #include <memory>
@@ -20,17 +20,11 @@ namespace wnf::exec {
 /// Shape of one multi-process execution path.
 struct TransportBackendOptions {
   std::size_t workers = 1;  ///< worker processes (0 = hardware concurrency)
-  std::size_t batch = 8;  ///< probes per BatchRequest frame (bit-identical
-                          ///< results at any batch size)
-  std::size_t pipeline_depth = 4;  ///< outstanding batch frames per worker
   dist::SimConfig sim;             ///< per-replica channel capacity
   dist::LatencyModel latency;  ///< per-request, per-neuron latency draws
   /// Optional Corollary-2 straggler cut, size L (empty = full waits).
   std::vector<std::size_t> straggler_cut;
   std::uint64_t seed = 0x5eed;  ///< root of the per-request Rng::split tree
-  /// Shared-memory ring hot path (TransportConfig::use_rings); false pins
-  /// every probe to the framed socket path. Bit-identical either way.
-  bool use_rings = true;
   /// Worker-process deaths to execute during run_trials, timed in request
   /// ids (trial-major probe order: trial t's probes occupy ids
   /// [t*probes, (t+1)*probes)). Deaths move requests between processes,
@@ -67,8 +61,8 @@ class TransportBackend final : public EvalBackend {
 
   const TransportBackendOptions& options() const { return options_; }
 
-  /// Deployment report of the last run_trials campaign (process-fault and
-  /// batch counters included; rebind() resets the per-campaign counters,
+  /// Deployment report of the last run_trials campaign (process-fault
+  /// counters included; rebind() resets the per-campaign counters,
   /// so this is per-call even though the fleet persists); empty before the
   /// first run_trials call.
   const serve::ServeReport& last_report() const { return last_report_; }

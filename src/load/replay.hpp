@@ -53,7 +53,7 @@ class Pipeline {
   virtual std::size_t outstanding() const = 0;
 
   /// The deployment's own aggregate view (simulated-time percentiles,
-  /// frame counters, ...). The replayer's LoadReport measures wall-clock
+  /// fault counters, ...). The replayer's LoadReport measures wall-clock
   /// sojourn on top of this, not instead of it.
   virtual serve::ServeReport report() const = 0;
 };

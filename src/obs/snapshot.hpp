@@ -19,7 +19,7 @@
 //   {"kind":"header","stream":...,"interval_s":...,"sources":[...]}
 //   {"kind":"window","seq":0,"t0_s":...,"t1_s":...,"sources":[
 //      {"name":"host","reset":false,
-//       "counters":[{"name":"transport.batch_frames","delta":12}],
+//       "counters":[{"name":"transport.ring_slots_written","delta":12}],
 //       "histograms":[{"name":"serve.completion_time","count":40,
 //                      "sum":0.01,"p50":...,"p99":...}]}],
 //    "tenants":[{"tenant":"a","t_s":...,"offered_rps":...,

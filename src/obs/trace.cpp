@@ -156,7 +156,6 @@ const char* trace_name_string(TraceName name) {
     case TraceName::kCompletionPush: return "completion_push";
     case TraceName::kDeliver: return "deliver";
     case TraceName::kDispatch: return "dispatch";
-    case TraceName::kEncode: return "encode";
     case TraceName::kWire: return "wire";
     case TraceName::kHarvest: return "harvest";
     case TraceName::kSigkill: return "sigkill";
@@ -164,7 +163,6 @@ const char* trace_name_string(TraceName name) {
     case TraceName::kRebindEvent: return "rebind";
     case TraceName::kResubmit: return "resubmit";
     case TraceName::kShed: return "shed";
-    case TraceName::kWorkerDecode: return "worker_decode";
     case TraceName::kWorkerExecute: return "worker_execute";
     case TraceName::kWorkerFlush: return "worker_flush";
     case TraceName::kTrialStream: return "trial_stream";

@@ -12,8 +12,8 @@
 // inherit the parent's rings over fork(); worker_main() calls
 // TraceLog::instance().reset() first thing, which bumps an epoch that
 // invalidates every inherited thread-local ring pointer — the child then
-// records into fresh rings of its own and ships them back over the wire as
-// protocol v4 Telemetry frames (see transport/codec.hpp), where the host
+// records into fresh rings of its own and ships them back over its control
+// socket as Telemetry frames (see transport/codec.hpp), where the host
 // ingests them as remote events tagged with the worker's pid and
 // Hello-time clock offset.
 #pragma once
@@ -57,35 +57,33 @@ enum class TraceName : std::uint16_t {
   kCompletionPush = 4,  ///< instant: a worker pushed finished results
   kDeliver = 5,         ///< instant: the driver popped a result in id order
   // Transport host.
-  kDispatch = 6,  ///< span: one dispatch() pass that built >=1 frame
-  kEncode = 7,    ///< span: encoding one BatchRequest frame (value=probes)
-  kWire = 8,      ///< async: probe enters a frame -> its result harvested
+  kDispatch = 6,  ///< instant: one dispatch() pass wrote >=1 ring probe
+  kWire = 7,      ///< async: probe written to a ring -> its result harvested
                   ///< (re-begun after a death resubmits the probe)
-  kHarvest = 9,   ///< instant: a BatchResult frame arrived (value=entries)
-  kSigkill = 10,  ///< instant: scripted SIGKILL (id=worker, value=pid)
-  kRespawn = 11,  ///< instant: worker respawned (id=worker, value=new pid)
-  kRebindEvent = 12,  ///< instant: fleet rebound to a new deployment
-  kResubmit = 13,     ///< instant: in-flight probe orphaned by a death,
+  kHarvest = 8,   ///< instant: result slots harvested (value=results)
+  kSigkill = 9,   ///< instant: scripted SIGKILL (id=worker, value=pid)
+  kRespawn = 10,  ///< instant: worker respawned (id=worker, value=new pid)
+  kRebindEvent = 11,  ///< instant: fleet rebound to a new deployment
+  kResubmit = 12,     ///< instant: in-flight probe orphaned by a death,
                       ///< re-queued for a survivor (id=request id)
-  kShed = 14,         ///< instant: a submission shed (value=reason code)
+  kShed = 13,         ///< instant: a submission shed (value=reason code)
   // Worker process (recorded in the worker, shipped back via Telemetry).
-  kWorkerDecode = 15,   ///< span: decoding one BatchRequest (value=probes)
-  kWorkerExecute = 16,  ///< span: one probe evaluation (id=request id)
-  kWorkerFlush = 17,    ///< instant: coalesced BatchResult shipped
+  kWorkerExecute = 14,  ///< span: one probe evaluation (id=request id)
+  kWorkerFlush = 15,    ///< instant: a worker's Telemetry frame arrived
   // Campaign/replay layers.
-  kTrialStream = 18,  ///< span: one exec backend run_trials stream
-  kReplay = 19,       ///< span: one load::replay run (value=arrivals)
+  kTrialStream = 16,  ///< span: one exec backend run_trials stream
+  kReplay = 17,       ///< span: one load::replay run (value=arrivals)
   // Counter tracks.
-  kQueueDepth = 20,      ///< counter: accepted - delivered
-  kInflightFrames = 21,  ///< counter: un-answered BatchRequest frames
+  kQueueDepth = 18,      ///< counter: accepted - delivered
+  kInflightFrames = 19,  ///< counter: a worker's un-answered ring probes
   // Continuous monitoring (watchdog thread + snapshot sampler).
-  kWatchdogStall = 22,    ///< instant: channel stalled (id=channel,
+  kWatchdogStall = 20,    ///< instant: channel stalled (id=channel,
                           ///< value=ms without progress)
-  kWatchdogRecover = 23,  ///< instant: stalled channel progressed again
-  kWatchdogRespawn = 24,  ///< instant: watchdog forced a respawn
-  kSnapshotWindow = 25,   ///< instant: one snapshot window flushed
+  kWatchdogRecover = 21,  ///< instant: stalled channel progressed again
+  kWatchdogRespawn = 22,  ///< instant: watchdog forced a respawn
+  kSnapshotWindow = 23,   ///< instant: one snapshot window flushed
                           ///< (id=window seq, value=bytes written)
-  kPostmortem = 26,       ///< instant: postmortem artifact written
+  kPostmortem = 24,       ///< instant: postmortem artifact written
                           ///< (id=worker, value=artifact seq)
   kNameCount  // keep last
 };

@@ -44,7 +44,7 @@ class CompletionQueue {
   void push(RequestResult result);
 
   /// One lock for a worker's whole locally-coalesced batch — the producers
-  /// amortise contention exactly like the wire protocol amortises frames.
+  /// amortise contention over the batch instead of paying it per result.
   void push_many(std::span<const RequestResult> results);
 
   /// Delivers the next in-order result if it has arrived. Never blocks:

@@ -45,17 +45,6 @@ struct ServeReport {
                                  ///< survivors after a worker-process death
   std::size_t worker_restarts = 0;  ///< worker processes respawned (crash
                                     ///< recovery boundaries + forced)
-  std::size_t batch_frames = 0;  ///< BatchRequest frames the host sent —
-                                 ///< completed/batch_frames ≈ realised
-                                 ///< probes per wire round-trip
-  std::size_t result_frames = 0;  ///< BatchResult frames workers sent back;
-                                  ///< result_frames < batch_frames means
-                                  ///< workers coalesced finished probes
-                                  ///< under pipeline pressure
-  std::size_t batch_probes_min = 0;  ///< smallest / largest probe count the
-  std::size_t batch_probes_max = 0;  ///< variable-batch dispatcher put in
-                                     ///< one frame (0 when no frame was
-                                     ///< sent; equal when batching is fixed)
   std::size_t rebinds = 0;       ///< times the fleet was rebound to a new
                                  ///< deployment without re-forking
                                  ///< (lifetime, unlike the other counters)

@@ -177,6 +177,21 @@ bool read_plan(Reader& reader, fault::FaultPlan& plan) {
   return reader.ok();
 }
 
+/// True for the v5 control types; the retired probe frames (4, 5, 7, 8)
+/// and anything out of range are not.
+bool known_type(std::uint16_t type) {
+  switch (static_cast<MessageType>(type)) {
+    case MessageType::kHello:
+    case MessageType::kBind:
+    case MessageType::kSegments:
+    case MessageType::kShutdown:
+    case MessageType::kRebind:
+    case MessageType::kTelemetry:
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- framing
@@ -215,9 +230,7 @@ ParseStatus Codec::try_parse(std::vector<std::uint8_t>& buffer, Frame& frame) {
   const std::uint16_t type = header.u16();
   const std::uint32_t size = header.u32();
   const std::uint64_t expected = header.u64();
-  if (magic != kFrameMagic || size > kMaxPayloadSize ||
-      type < static_cast<std::uint16_t>(MessageType::kHello) ||
-      type > static_cast<std::uint16_t>(MessageType::kTelemetry)) {
+  if (magic != kFrameMagic || size > kMaxPayloadSize || !known_type(type)) {
     return ParseStatus::kMalformed;
   }
   // A structurally sound frame from a peer on another protocol version
@@ -317,146 +330,6 @@ std::optional<SegmentsMsg> Codec::decode_segments(
   msg.plans.resize(plans);
   for (auto& plan : msg.plans) {
     if (!read_plan(reader, plan)) return std::nullopt;
-  }
-  if (!reader.exhausted()) return std::nullopt;
-  return msg;
-}
-
-// --------------------------------------------------------------- request
-
-namespace {
-
-/// One probe's wire body — shared by the single-request frame and every
-/// entry of a batch frame, so the two paths cannot encode a probe
-/// differently.
-void put_request_body(std::vector<std::uint8_t>& out, const RequestMsg& msg) {
-  put_u64(out, msg.id);
-  put_u32(out, msg.segment);
-  for (const std::uint64_t word : msg.rng_state) put_u64(out, word);
-  put_u32(out, static_cast<std::uint32_t>(msg.x.size()));
-  for (const double value : msg.x) put_f64(out, value);
-}
-
-/// Fixed bytes of a probe body before its input vector: id + segment +
-/// rng state + x-count. The per-element guard for batch counts.
-constexpr std::size_t kRequestBodyMinBytes = 8 + 4 + 4 * 8 + 4;
-
-bool read_request_body(Reader& reader, RequestMsg& msg) {
-  msg.id = reader.u64();
-  msg.segment = reader.u32();
-  for (auto& word : msg.rng_state) word = reader.u64();
-  const std::uint32_t dim = reader.u32();
-  if (!reader.fits(dim, 8)) return false;
-  msg.x.resize(dim);
-  for (auto& value : msg.x) value = reader.f64();
-  return reader.ok();
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> Codec::encode_request(const RequestMsg& msg) {
-  std::vector<std::uint8_t> out;
-  put_request_body(out, msg);
-  return out;
-}
-
-std::optional<RequestMsg> Codec::decode_request(
-    const std::vector<std::uint8_t>& payload) {
-  Reader reader(payload);
-  RequestMsg msg;
-  if (!read_request_body(reader, msg)) return std::nullopt;
-  if (!reader.exhausted()) return std::nullopt;
-  return msg;
-}
-
-// ---------------------------------------------------------------- result
-
-std::vector<std::uint8_t> Codec::encode_result(const ResultMsg& msg) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, msg.id);
-  put_f64(out, msg.output);
-  put_f64(out, msg.completion_time);
-  put_u64(out, msg.resets_sent);
-  return out;
-}
-
-std::optional<ResultMsg> Codec::decode_result(
-    const std::vector<std::uint8_t>& payload) {
-  Reader reader(payload);
-  ResultMsg msg;
-  msg.id = reader.u64();
-  msg.output = reader.f64();
-  msg.completion_time = reader.f64();
-  msg.resets_sent = reader.u64();
-  if (!reader.exhausted()) return std::nullopt;
-  return msg;
-}
-
-// ------------------------------------------------------- batched requests
-
-std::vector<std::uint8_t> Codec::encode_batch_request(
-    const BatchRequestMsg& msg) {
-  WNF_EXPECTS(!msg.probes.empty());
-  std::vector<std::uint8_t> out;
-  put_u32(out, static_cast<std::uint32_t>(msg.probes.size()));
-  for (const RequestMsg& probe : msg.probes) put_request_body(out, probe);
-  return out;
-}
-
-std::optional<BatchRequestMsg> Codec::decode_batch_request(
-    const std::vector<std::uint8_t>& payload) {
-  Reader reader(payload);
-  BatchRequestMsg msg;
-  const std::uint32_t count = reader.u32();
-  if (count == 0) return std::nullopt;
-  if (!reader.fits(count, kRequestBodyMinBytes)) return std::nullopt;
-  msg.probes.resize(count);
-  for (RequestMsg& probe : msg.probes) {
-    if (!read_request_body(reader, probe)) return std::nullopt;
-  }
-  if (!reader.exhausted()) return std::nullopt;
-  return msg;
-}
-
-// -------------------------------------------------------- batched results
-
-namespace {
-constexpr std::size_t kBatchResultEntryBytes = 8 + 1 + 8 + 8 + 8;
-}  // namespace
-
-std::vector<std::uint8_t> Codec::encode_batch_result(
-    const BatchResultMsg& msg) {
-  WNF_EXPECTS(!msg.results.empty());
-  std::vector<std::uint8_t> out;
-  put_u32(out, static_cast<std::uint32_t>(msg.results.size()));
-  for (const BatchResultEntry& entry : msg.results) {
-    put_u64(out, entry.id);
-    out.push_back(static_cast<std::uint8_t>(entry.status));
-    put_f64(out, entry.output);
-    put_f64(out, entry.completion_time);
-    put_u64(out, entry.resets_sent);
-  }
-  return out;
-}
-
-std::optional<BatchResultMsg> Codec::decode_batch_result(
-    const std::vector<std::uint8_t>& payload) {
-  Reader reader(payload);
-  BatchResultMsg msg;
-  const std::uint32_t count = reader.u32();
-  if (count == 0) return std::nullopt;
-  if (!reader.fits(count, kBatchResultEntryBytes)) return std::nullopt;
-  msg.results.resize(count);
-  for (BatchResultEntry& entry : msg.results) {
-    entry.id = reader.u64();
-    const std::uint8_t status = reader.u8();
-    if (status > static_cast<std::uint8_t>(ProbeStatus::kFailed)) {
-      return std::nullopt;
-    }
-    entry.status = static_cast<ProbeStatus>(status);
-    entry.output = reader.f64();
-    entry.completion_time = reader.f64();
-    entry.resets_sent = reader.u64();
   }
   if (!reader.exhausted()) return std::nullopt;
   return msg;

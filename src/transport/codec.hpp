@@ -1,56 +1,45 @@
-// Framed binary wire protocol for the multi-process deployment backend.
+// Framed binary control protocol of the multi-process deployment.
 //
-// Every message between a WorkerHost and a Worker process is one frame:
+// Probes never cross the socket — they ride the shared-memory rings
+// (ring.hpp). What the socket carries between a WorkerHost and a Worker
+// process is doorbell bytes and these control frames:
 //
 //   u32 magic      "WNF1" (0x574E4631)      | fixed 20-byte header,
-//   u16 version    protocol version (= 4)   | little-endian on the wire
+//   u16 version    protocol version (= 5)   | little-endian on the wire
 //   u16 type       MessageType              | whatever the host CPU is
 //   u32 size       payload bytes that follow
 //   u64 checksum   FNV-1a 64 over the payload
 //   ...payload...
 //
-// Protocol v2 adds the persistent-fleet messages: BatchRequest/BatchResult
-// carry many probes (and their Rng::split states) per frame so heavy
-// campaign traffic pays one syscall round-trip per batch instead of per
-// probe, and Rebind atomically swaps the network, configuration, and
-// timeline segments on a live worker so a fleet survives across campaigns
-// without re-forking. Batch results identify every probe by id with its
-// own status byte, which is what lets the host resubmit only the probes an
-// unacknowledged batch actually lost when a worker is SIGKILLed mid-batch.
+// Hello greets the host with the worker's index, pid and steady clock
+// (the clock places worker trace events on the host timebase). Bind ships
+// a network and its configuration, Segments the timeline's per-segment
+// fault plans, and Rebind swaps both on a live worker so a fleet survives
+// across campaigns without re-forking. Telemetry ships a worker's trace
+// ring back (on Shutdown and before a Rebind applies); Shutdown ends the
+// worker.
 //
-// Protocol v3 decouples result frames from request frames: because probes
-// are acknowledged by id, a BatchResult no longer has to answer exactly
-// one BatchRequest — a worker with several finished request frames queued
-// coalesces all their results into one frame at the socket turn-around
-// (the async host validates per probe, not per frame). Frame formats are
-// unchanged from v2; the version bump marks the relaxed framing contract.
-//
-// Protocol v4 adds observability: the Hello greeting carries the worker's
-// steady-clock reading at send time (the host differences it against its
-// own clock at receipt to place worker trace events on the host
-// timebase), and the worker -> host Telemetry frame ships the worker's
-// trace-ring contents (obs::TraceEvent records, flushed on Shutdown and
-// before applying a Rebind). v4 also tightens version hygiene: a frame
-// whose magic is right but whose version is not ours parses as
-// kWrongVersion — a distinct rejection from kMalformed, so a cross-version
-// peer is reported as such instead of as stream corruption.
+// Protocol v5 retires the framed probe plane of v2-v4 (single and batched
+// request/result frames): their type numbers 4, 5, 7 and 8 are no longer
+// valid and parse as kMalformed. A frame whose magic is right but whose
+// version is not ours parses as kWrongVersion — a distinct rejection, so
+// a cross-version peer is reported as such instead of as corruption.
 //
 // Payloads are explicit little-endian primitives (doubles as IEEE-754 bit
-// patterns), so a frame is a byte-exact artifact: the same network, plan,
-// or probe encodes to the same bytes on every platform, and the worker's
+// patterns), so a frame is a byte-exact artifact: the same network or
+// plan encodes to the same bytes on every platform, and the worker's
 // reconstruction is bit-identical to the host's original — the property
 // the TransportBackend↔SimulatorBackend cross-checks rest on. Network
 // weights ride the `nn::serialize` v1 text format (17 significant digits
 // round-trips every double exactly).
 //
-// Decoding is defensive end to end: a frame with a bad magic, a lying
-// size, a checksum mismatch, or a truncated/overlong payload is rejected
-// as malformed, never interpreted; a well-framed foreign protocol version
-// is rejected distinctly as kWrongVersion. The host treats a worker that
-// sends either as crashed; the worker exits on either from the host.
+// Decoding is defensive end to end: a frame with a bad magic, a retired
+// or unknown type, a lying size, a checksum mismatch, or a truncated/
+// overlong payload is rejected as malformed, never interpreted. The host
+// treats a worker that sends either rejection as crashed; the worker
+// exits on either from the host.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -64,28 +53,20 @@
 namespace wnf::transport {
 
 inline constexpr std::uint32_t kFrameMagic = 0x574E4631u;  // "WNF1"
-inline constexpr std::uint16_t kProtocolVersion = 4;
+inline constexpr std::uint16_t kProtocolVersion = 5;
 inline constexpr std::size_t kFrameHeaderSize = 20;
 /// Sanity cap on payload size (a lying length field must not trigger a
 /// multi-gigabyte allocation before the checksum can reject the frame).
 inline constexpr std::uint32_t kMaxPayloadSize = 1u << 28;  // 256 MiB
 
+/// Control-frame types. The gaps (4, 5, 7, 8) are the retired probe
+/// frames; try_parse rejects them as malformed.
 enum class MessageType : std::uint16_t {
   kHello = 1,     ///< worker -> host: worker index + pid, sent on startup
   kBind = 2,      ///< host -> worker: network + simulator/latency/cut config
   kSegments = 3,  ///< host -> worker: the timeline's per-segment fault plans
-  kRequest = 4,   ///< host -> worker: one probe evaluation. v2 hosts only
-                  ///< send kBatchRequest (a serial probe is a 1-probe
-                  ///< batch); the single-probe pair stays in the protocol
-                  ///< as its degenerate form — workers still serve it, and
-                  ///< it is the minimal frame for driving a worker by hand
-  kResult = 5,    ///< worker -> host: the probe outcome (see kRequest)
   kShutdown = 6,  ///< host -> worker: exit cleanly
-  // Protocol v2: persistent fleets and batched frames.
-  kBatchRequest = 7,  ///< host -> worker: many probe evaluations, one frame
-  kBatchResult = 8,   ///< worker -> host: the whole batch's outcomes
-  kRebind = 9,        ///< host -> worker: swap network/config/segments live
-  // Protocol v4: observability.
+  kRebind = 9,    ///< host -> worker: swap network/config/segments live
   kTelemetry = 10,  ///< worker -> host: the worker's trace-ring contents,
                     ///< flushed on Shutdown and before applying a Rebind
 };
@@ -120,63 +101,10 @@ struct BindMsg {
 };
 
 /// host -> worker: the finalized timeline as its constant segments. A
-/// request addresses a segment by index; the worker installs a segment's
-/// plan only when consecutive requests change segments.
+/// ring probe addresses a segment by index; the worker installs a
+/// segment's plan only when consecutive probes change segments.
 struct SegmentsMsg {
   std::vector<fault::FaultPlan> plans;
-};
-
-/// host -> worker: evaluate `x` under segment `segment` with the request's
-/// split-off RNG stream (raw xoshiro state, so the worker draws exactly
-/// the latencies the in-process ReplicaPool would have drawn).
-struct RequestMsg {
-  std::uint64_t id = 0;
-  std::uint32_t segment = 0;
-  std::array<std::uint64_t, 4> rng_state{};
-  std::vector<double> x;
-};
-
-/// worker -> host: the evaluation outcome for request `id`.
-struct ResultMsg {
-  std::uint64_t id = 0;
-  double output = 0.0;
-  double completion_time = 0.0;
-  std::uint64_t resets_sent = 0;
-};
-
-/// host -> worker: a whole batch of probe evaluations in one frame. Each
-/// probe still carries its own id, segment, and split-off RNG state, so
-/// batching changes how many syscalls the stream costs, never what any
-/// probe computes. Batches are non-empty by construction (a zero count is
-/// rejected as malformed).
-struct BatchRequestMsg {
-  std::vector<RequestMsg> probes;
-};
-
-/// Per-probe completion status inside a BatchResultMsg. A compliant worker
-/// only ever reports kOk (a probe it cannot evaluate is a protocol
-/// violation and the worker exits instead); the status byte exists so the
-/// host acknowledges probes individually — a SIGKILL mid-batch loses only
-/// the probes of unacknowledged batches — and so future versions can
-/// degrade per probe without a frame-format break.
-enum class ProbeStatus : std::uint8_t {
-  kOk = 0,
-  kFailed = 1,
-};
-
-/// One probe's outcome inside a batch result.
-struct BatchResultEntry {
-  std::uint64_t id = 0;
-  ProbeStatus status = ProbeStatus::kOk;
-  double output = 0.0;
-  double completion_time = 0.0;
-  std::uint64_t resets_sent = 0;
-};
-
-/// worker -> host: every outcome of one BatchRequestMsg, in request order.
-/// Non-empty by construction, exactly like the request.
-struct BatchResultMsg {
-  std::vector<BatchResultEntry> results;
 };
 
 /// host -> worker: atomically swap a live worker onto a new deployment —
@@ -242,35 +170,15 @@ class Codec {
   static std::optional<SegmentsMsg> decode_segments(
       const std::vector<std::uint8_t>& payload);
 
-  static std::vector<std::uint8_t> encode_request(const RequestMsg& msg);
-  static std::optional<RequestMsg> decode_request(
-      const std::vector<std::uint8_t>& payload);
-
-  static std::vector<std::uint8_t> encode_result(const ResultMsg& msg);
-  static std::optional<ResultMsg> decode_result(
-      const std::vector<std::uint8_t>& payload);
-
-  // v2 payloads. Batch decoders reject empty batches, lying probe counts
-  // (bounds-checked before any allocation), truncated per-probe payloads,
-  // and out-of-range status bytes; the rebind decoder length-prefixes its
-  // inner bind and segments payloads and rejects any disagreement between
-  // the prefixes and the actual bytes.
-  static std::vector<std::uint8_t> encode_batch_request(
-      const BatchRequestMsg& msg);
-  static std::optional<BatchRequestMsg> decode_batch_request(
-      const std::vector<std::uint8_t>& payload);
-
-  static std::vector<std::uint8_t> encode_batch_result(
-      const BatchResultMsg& msg);
-  static std::optional<BatchResultMsg> decode_batch_result(
-      const std::vector<std::uint8_t>& payload);
-
+  // The rebind decoder length-prefixes its inner bind and segments
+  // payloads and rejects any disagreement between the prefixes and the
+  // actual bytes.
   static std::vector<std::uint8_t> encode_rebind(const RebindMsg& msg);
   static std::optional<RebindMsg> decode_rebind(
       const std::vector<std::uint8_t>& payload);
 
-  // v4 payloads. The telemetry decoder bounds-checks the event count and
-  // rejects out-of-range kind/name discriminants.
+  // The telemetry decoder bounds-checks the event count and rejects
+  // out-of-range kind/name discriminants.
   static std::vector<std::uint8_t> encode_telemetry(const TelemetryMsg& msg);
   static std::optional<TelemetryMsg> decode_telemetry(
       const std::vector<std::uint8_t>& payload);

@@ -110,8 +110,8 @@ WorkerHost::WorkerHost(TransportConfig config)
     : config_(std::move(config)), root_(config_.seed) {
   WNF_EXPECTS(available());
   WNF_EXPECTS(config_.queue_capacity > 0);
-  WNF_EXPECTS(config_.batch > 0);
-  WNF_EXPECTS(config_.pipeline_depth > 0);
+  WNF_EXPECTS(config_.window > 0);
+  WNF_EXPECTS(config_.ring_capacity > 0);
   if (config_.workers == 0) {
     config_.workers =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -122,8 +122,6 @@ WorkerHost::WorkerHost(TransportConfig config)
   resets_count_ = &metrics_.counter("transport.resets_sent");
   resubmitted_count_ = &metrics_.counter("transport.resubmitted");
   restarts_count_ = &metrics_.counter("transport.worker_restarts");
-  batch_frames_count_ = &metrics_.counter("transport.batch_frames");
-  result_frames_count_ = &metrics_.counter("transport.result_frames");
   ring_slots_count_ = &metrics_.counter("transport.ring_slots_written");
   ring_doorbells_count_ = &metrics_.counter("transport.ring_doorbells");
   ring_torn_count_ = &metrics_.counter("transport.ring_torn_recovered");
@@ -131,7 +129,6 @@ WorkerHost::WorkerHost(TransportConfig config)
   ring_sleep_count_ = &metrics_.counter("transport.ring_sleep_wakeups");
   completion_hist_ = &metrics_.histogram("transport.completion_time");
   queue_depth_hist_ = &metrics_.histogram("transport.queue_depth");
-  batch_probes_hist_ = &metrics_.histogram("transport.batch_probes");
   trace_tag_ = obs::next_span_id() << 32;
   workers_.resize(config_.workers);
   health_ = std::make_unique<WorkerHealth[]>(workers_.size());
@@ -140,17 +137,10 @@ WorkerHost::WorkerHost(TransportConfig config)
     postmortem_ = std::make_unique<obs::PostmortemWriter>(
         obs::PostmortemConfig{config_.postmortem_dir});
   }
-  if (config_.use_rings && rings_available()) {
-    WNF_EXPECTS(config_.ring_capacity > 0);
-    // The mappings must exist before the first fork so every child
-    // inherits them; a failed mmap falls back to the framed socket path.
-    for (auto& worker : workers_) {
-      worker.rings = WorkerRings::create(config_.ring_capacity);
-      if (!worker.rings) {
-        for (auto& other : workers_) other.rings.reset();
-        break;
-      }
-    }
+  // The mappings must exist before the first fork so every child inherits
+  // them.
+  for (auto& worker : workers_) {
+    worker.rings = WorkerRings::create(config_.ring_capacity);
   }
   for (std::size_t w = 0; w < workers_.size(); ++w) spawn(w);
   publish_health();
@@ -160,6 +150,9 @@ WorkerHost::WorkerHost(const nn::FeedForwardNetwork& net,
                        TransportConfig config)
     : WorkerHost(std::move(config)) {
   net_ = &net;
+  // A probe that needs more slots than the ring holds could never be
+  // dispatched.
+  WNF_EXPECTS(request_slots(net_->input_dim()) <= config_.ring_capacity);
   if (!config_.straggler_cut.empty()) {
     WNF_EXPECTS(config_.straggler_cut.size() == net_->layer_count());
     wait_counts_ = dist::wait_counts_from_cut(*net_, config_.straggler_cut);
@@ -171,8 +164,6 @@ WorkerHost::WorkerHost(const nn::FeedForwardNetwork& net,
     enqueue_bind(worker);
     enqueue_segments(worker);
   }
-  rings_active_ = workers_.front().rings != nullptr &&
-                  net_->input_dim() <= kRingSlotDoubles;
 }
 
 void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
@@ -180,6 +171,7 @@ void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
   // No traffic may straddle the swap: everything accepted was delivered.
   WNF_EXPECTS(outstanding_ == 0);
   WNF_ASSERT(queue_.empty() && inflight_.empty() && resubmit_.empty());
+  WNF_EXPECTS(request_slots(net.input_dim()) <= config_.ring_capacity);
   net_ = &net;
   if (options.seed) config_.seed = *options.seed;
   if (options.straggler_cut) {
@@ -220,14 +212,11 @@ void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
         ++worker.epoch;
         worker.control_gen = control_gen_;
       }
-      worker.ramp = 0;
     } else {
       worker.blocked_until = 0;
       spawn(w);
     }
   }
-  rings_active_ = workers_.front().rings != nullptr &&
-                  net_->input_dim() <= kRingSlotDoubles;
   // The report starts over with the deployment (rebinds_ is lifetime):
   // every per-deployment metric zeroes in place, cached pointers intact.
   completion_.clear();
@@ -325,8 +314,7 @@ void WorkerHost::drain_final_telemetry(WorkerState& worker) {
       (void)strip_doorbells(worker.inbox);  // late ring doorbells
       status = Codec::try_parse(worker.inbox, frame);
       if (status != ParseStatus::kFrame) break;
-      // Only telemetry is expected this late; anything else (a last
-      // coalesced result frame racing the shutdown) is simply dropped —
+      // Only telemetry is expected this late; anything else is dropped —
       // the deployment's results were all delivered before destruction.
       if (frame.type == MessageType::kTelemetry) {
         (void)ingest_telemetry(worker, frame);
@@ -346,7 +334,7 @@ void WorkerHost::spawn(std::size_t w) {
   // sequence words, park flags) before the fork so the child inherits a
   // quiescent pair. The previous occupant — if any — is already reaped, so
   // nobody else is touching the memory.
-  if (workers_[w].rings) workers_[w].rings->reset();
+  workers_[w].rings->reset();
   const pid_t pid = ::fork();
   WNF_ASSERT(pid >= 0);
   if (pid == 0) {
@@ -358,7 +346,7 @@ void WorkerHost::spawn(std::size_t w) {
       if (other.fd >= 0) ::close(other.fd);
     }
     ::_exit(worker_main(fds[1], static_cast<std::uint32_t>(w),
-                        workers_[w].rings.get()));
+                        *workers_[w].rings));
   }
   ::close(fds[1]);
   set_nonblocking(fds[0]);
@@ -372,7 +360,6 @@ void WorkerHost::spawn(std::size_t w) {
   worker.inbox.clear();
   worker.outbox.clear();
   WNF_ASSERT(worker.inflight.empty());
-  worker.ramp = 0;
   worker.epoch = 0;
   worker.control_gen = 0;
   ++worker.spawns;
@@ -638,19 +625,17 @@ void WorkerHost::worker_died(std::size_t w, bool expected) {
   worker.pid = -1;
   worker.inbox.clear();
   worker.outbox.clear();
-  // With rings, everything the worker *committed* before dying is a valid
-  // answer — harvest it (nobody races us; the process is reaped) so only
-  // genuinely unanswered probes resubmit. A started-but-uncommitted write
-  // at the head is the torn slot: counted here, recovered below by the
-  // same resubmission path as any unacknowledged probe.
+  // Everything the worker *committed* before dying is a valid answer —
+  // harvest it (nobody races us; the process is reaped) so only genuinely
+  // unanswered probes resubmit. A started-but-uncommitted write at the
+  // head is the torn slot: counted here, recovered below by the same
+  // resubmission path as any unacknowledged probe.
   std::uint64_t torn = 0;
-  if (worker.rings) {
-    std::size_t harvested = 0;
-    (void)harvest_result_ring(w, harvested);
-    if (worker.rings->result_head_torn()) {
-      torn = 1;
-      ring_torn_count_->increment();
-    }
+  std::size_t harvested = 0;
+  (void)harvest_result_ring(w, harvested);
+  if (worker.rings->result_head_torn()) {
+    torn = 1;
+    ring_torn_count_->increment();
   }
   // Forensics first: the record wants the in-flight ids this death is
   // about to hand back to the dispatcher.
@@ -666,7 +651,6 @@ void WorkerHost::worker_died(std::size_t w, bool expected) {
     insert_sorted(resubmit_, id);
   }
   worker.inflight.clear();
-  worker.ramp = 0;
   // A spontaneous death (no scripted window) respawns immediately; a
   // scripted kill stays down until its recovery boundary. Healing must
   // make progress: a fleet dying repeatedly without serving a single
@@ -752,26 +736,29 @@ void WorkerHost::ring_doorbell(std::size_t w) {
   ring_doorbells_count_->increment();
 }
 
-void WorkerHost::dispatch_rings() {
-  // The ring analogue of the framed dispatch below: one probe at a time
-  // into the least-loaded live worker's request ring, resubmissions first,
-  // same pipeline window. No frame, no checksum, no syscall — the slot is
-  // written in place and published by its commit word; a doorbell byte
-  // rides the demoted socket only when the worker had parked.
-  const std::size_t window = config_.pipeline_depth * config_.batch;
+void WorkerHost::dispatch() {
+  // One probe at a time into the least-loaded live worker's request ring,
+  // resubmissions first (they carry the oldest ids). Assignment affects
+  // only where a request runs, never its result, so this load-balancing
+  // needs no determinism of its own. No frame, no checksum, no syscall —
+  // the slots are written in place and published by the head's commit
+  // word; a doorbell byte rides the control socket only when the worker
+  // had parked.
+  const std::size_t width = net_->input_dim();
+  const std::size_t slots = request_slots(width);
   while (!resubmit_.empty() || !queue_.empty()) {
     std::size_t target = workers_.size();
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       const WorkerState& worker = workers_[w];
       if (!worker.alive) continue;
-      if (worker.inflight.size() >= window) continue;
-      if (!worker.rings->request_free()) continue;
+      if (worker.inflight.size() >= config_.window) continue;
+      if (!worker.rings->request_free(width)) continue;
       if (target == workers_.size() ||
           worker.inflight.size() < workers_[target].inflight.size()) {
         target = w;
       }
     }
-    if (target == workers_.size()) break;  // every pipeline or ring full
+    if (target == workers_.size()) break;  // every window or ring full
 
     std::uint64_t id = 0;
     const PendingRequest* request = nullptr;
@@ -792,23 +779,21 @@ void WorkerHost::dispatch_rings() {
     }
 
     WorkerState& worker = workers_[target];
-    RequestSlot* slot = worker.rings->try_begin_request();
+    RequestSlot* slot = worker.rings->try_begin_request(width);
     WNF_ASSERT(slot != nullptr);  // request_free() held above
     slot->id = id;
     slot->epoch = worker.epoch;
     slot->segment = static_cast<std::uint32_t>(timeline_.segment_at(id));
-    slot->x_count = static_cast<std::uint32_t>(request->x.size());
     slot->flags = 0;
     if (id == config_.debug_tear_result_at && !tear_fired_) {
       slot->flags = kSlotFlagTearForTest;
       tear_fired_ = true;  // the resubmitted probe must ship clean
     }
     slot->rng_state = request->rng.state();
-    std::copy(request->x.begin(), request->x.end(), slot->x);
-    worker.rings->commit_request();
+    worker.rings->commit_request(request->x);
     worker.inflight.push_back(id);
     worker.ring_dispatched = true;
-    ring_slots_count_->increment();
+    ring_slots_count_->add(static_cast<std::int64_t>(slots));
     if (obs::enabled()) {
       obs::async_begin(obs::TraceName::kWire, trace_tag_ + id, target);
       obs::counter(obs::TraceName::kInflightFrames, worker.inflight.size());
@@ -827,107 +812,6 @@ void WorkerHost::dispatch_rings() {
                       worker.inflight.empty() ? 0 : worker.inflight.back(),
                       worker.inflight.size());
     if (worker.rings->take_request_doorbell()) ring_doorbell(w);
-  }
-}
-
-void WorkerHost::dispatch() {
-  if (rings_active_) {
-    dispatch_rings();
-    return;
-  }
-  // Build one BatchRequest frame at a time for the least-loaded live
-  // worker with pipeline room — resubmitted requests first (they carry
-  // the oldest ids), then fresh ones. Assignment affects only where a
-  // request runs, never its result, so this load-balancing needs no
-  // determinism of its own.
-  while (!resubmit_.empty() || !queue_.empty()) {
-    const std::size_t window = config_.pipeline_depth * config_.batch;
-    std::size_t target = workers_.size();
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (!workers_[w].alive) continue;
-      if (workers_[w].inflight.size() >= window) continue;
-      if (target == workers_.size() ||
-          workers_[w].inflight.size() < workers_[target].inflight.size()) {
-        target = w;
-      }
-    }
-    if (target == workers_.size()) break;  // every pipeline is full
-
-    // Variable-batch policy: a worker whose pipeline just emptied gets a
-    // small frame (fill the fleet now, not after `batch` probes queue up),
-    // then frame sizes double while its pipeline stays busy, capping at
-    // the configured batch — saturation keeps full wire amortisation.
-    WorkerState& picked = workers_[target];
-    std::size_t want = config_.batch;
-    if (config_.adaptive_batch) {
-      picked.ramp = picked.inflight.empty()
-                        ? 1
-                        : std::min(config_.batch, picked.ramp * 2);
-      want = picked.ramp;
-    }
-    want = std::min(want, window - picked.inflight.size());
-
-    // Collect up to `want` probes. A fresh request advances the frontier,
-    // so any script window it crosses fires before the request leaves the
-    // host — possibly killing the very worker this batch was being built
-    // for, in which case the collected probes go back to the resubmission
-    // queue and the outer loop re-targets.
-    std::vector<std::uint64_t> batch_ids;
-    while (batch_ids.size() < want) {
-      if (!resubmit_.empty()) {
-        batch_ids.push_back(resubmit_.front());
-        resubmit_.erase(resubmit_.begin());
-        continue;
-      }
-      if (queue_.empty()) break;
-      run_crash_script(queue_.front().id);
-      if (!workers_[target].alive) break;  // the script killed the target
-      PendingRequest request = std::move(queue_.front());
-      queue_.pop_front();
-      const std::uint64_t id = request.id;
-      inflight_.emplace(id, std::move(request));
-      batch_ids.push_back(id);
-    }
-    if (!workers_[target].alive) {
-      for (const std::uint64_t id : batch_ids) insert_sorted(resubmit_, id);
-      continue;
-    }
-    if (batch_ids.empty()) break;  // nothing left to send this pump
-    {
-      const obs::ScopedSpan encode_span(obs::TraceName::kEncode, target,
-                                        batch_ids.size());
-      BatchRequestMsg msg;
-      msg.probes.reserve(batch_ids.size());
-      for (const std::uint64_t id : batch_ids) {
-        const PendingRequest& request = inflight_.at(id);
-        RequestMsg probe;
-        probe.id = request.id;
-        probe.segment =
-            static_cast<std::uint32_t>(timeline_.segment_at(request.id));
-        probe.rng_state = request.rng.state();
-        probe.x = request.x;
-        msg.probes.push_back(std::move(probe));
-      }
-      const auto frame = Codec::encode(MessageType::kBatchRequest,
-                                       Codec::encode_batch_request(msg));
-      WorkerState& worker = workers_[target];
-      worker.outbox.insert(worker.outbox.end(), frame.begin(), frame.end());
-      worker.inflight.insert(worker.inflight.end(), batch_ids.begin(),
-                             batch_ids.end());
-    }
-    batch_frames_count_->increment();
-    batch_probes_hist_->observe(static_cast<double>(batch_ids.size()));
-    note_worker_event(target, obs::TraceName::kEncode, batch_ids.front(),
-                      batch_ids.size());
-    if (obs::enabled()) {
-      // One wire span per probe, spanning frame-out to result harvested
-      // (or to worker death, where worker_died ends it early).
-      for (const std::uint64_t id : batch_ids) {
-        obs::async_begin(obs::TraceName::kWire, trace_tag_ + id, target);
-      }
-      obs::counter(obs::TraceName::kInflightFrames,
-                   workers_[target].inflight.size());
-    }
   }
 }
 
@@ -953,32 +837,12 @@ void WorkerHost::service_worker(std::size_t w, bool readable, bool writable) {
     break;
   }
 
-  // Accepts one probe outcome: false on any protocol violation (a result
-  // this worker was never sent — including one already answered — or a
-  // probe the worker says it failed; a compliant worker exits instead).
-  const auto harvest = [&](const BatchResultEntry& entry) {
-    if (entry.status != ProbeStatus::kOk) return false;
-    const auto inflight = std::find(worker.inflight.begin(),
-                                    worker.inflight.end(), entry.id);
-    if (inflight == worker.inflight.end()) return false;
-    const auto request = inflight_.find(entry.id);
-    if (request == inflight_.end()) return false;
-    worker.inflight.erase(inflight);
-    inflight_.erase(request);
-    obs::async_end(obs::TraceName::kWire, trace_tag_ + entry.id);
-    completions_.push({entry.id, entry.output, entry.completion_time,
-                       static_cast<std::size_t>(entry.resets_sent)});
-    ++worker.harvested_total;
-    deaths_without_progress_ = 0;  // the fleet is serving; healing works
-    return true;
-  };
-
   Frame frame;
   ParseStatus status;
   while (true) {
-    // Doorbell bytes (ring wakeups) interleave with control frames on the
-    // demoted socket, always at frame boundaries; their arrival is the
-    // wakeup — the data they announce is harvested from the rings.
+    // Doorbell bytes (ring wakeups) interleave with control frames,
+    // always at frame boundaries; their arrival is the wakeup — the data
+    // they announce is harvested from the rings.
     const std::size_t bells = strip_doorbells(worker.inbox);
     if (bells > 0) {
       ring_doorbells_count_->add(static_cast<std::int64_t>(bells));
@@ -1001,46 +865,22 @@ void WorkerHost::service_worker(std::size_t w, bool readable, bool writable) {
                                static_cast<std::int64_t>(hello->clock_ns);
       continue;
     }
-    if (frame.type == MessageType::kTelemetry && worker.hello_seen) {
-      // Workers flush their trace rings at deployment boundaries (before a
-      // rebind applies, on shutdown); the frames interleave freely with
-      // coalesced results.
-      if (!ingest_telemetry(worker, frame)) {
-        dead = true;
-        break;
-      }
-      if (postmortem_) {
-        // A flush resets the "deltas since last flush" postmortem window.
-        worker.flush_base = metrics_.snapshot();
-        note_worker_event(w, obs::TraceName::kWorkerFlush, 0,
-                          frame.payload.size());
-      }
-      continue;
+    if (frame.type != MessageType::kTelemetry || !worker.hello_seen) {
+      dead = true;  // protocol violation (anything but telemetry after the
+      break;        // handshake): stop trusting the stream
     }
-    if (frame.type != MessageType::kBatchResult || !worker.hello_seen) {
-      dead = true;  // protocol violation (results before the
-      break;        // handshake included): stop trusting the stream
-    }
-    const auto batch_result = Codec::decode_batch_result(frame.payload);
-    // A result frame may answer any subset of the worker's in-flight
-    // probes (workers coalesce finished probes under pipeline pressure),
-    // but an answer the host never asked for means the stream cannot be
-    // trusted.
-    if (!batch_result || worker.inflight.empty()) {
+    // Workers flush their trace rings at deployment boundaries (before a
+    // rebind applies, on shutdown).
+    if (!ingest_telemetry(worker, frame)) {
       dead = true;
       break;
     }
-    result_frames_count_->increment();
-    obs::instant(obs::TraceName::kHarvest, w, batch_result->results.size());
-    note_worker_event(w, obs::TraceName::kHarvest, worker.inflight.size(),
-                      batch_result->results.size());
-    for (const BatchResultEntry& entry : batch_result->results) {
-      if (!harvest(entry)) {
-        dead = true;
-        break;
-      }
+    if (postmortem_) {
+      // A flush resets the "deltas since last flush" postmortem window.
+      worker.flush_base = metrics_.snapshot();
+      note_worker_event(w, obs::TraceName::kWorkerFlush, 0,
+                        frame.payload.size());
     }
-    if (dead) break;
   }
   if (status == ParseStatus::kMalformed ||
       status == ParseStatus::kWrongVersion) {
@@ -1054,9 +894,8 @@ bool WorkerHost::harvest_result_ring(std::size_t w, std::size_t& harvested) {
   const std::size_t before = harvested;
   ResultSlot* slot = nullptr;
   while ((slot = worker.rings->peek_result()) != nullptr) {
-    // Same acceptance contract as the framed harvest: an answer the host
-    // never asked this worker for, or a probe the worker says it failed,
-    // means the stream cannot be trusted.
+    // An answer the host never asked this worker for, or a probe the
+    // worker says it failed, means the stream cannot be trusted.
     if (static_cast<ProbeStatus>(slot->status) != ProbeStatus::kOk) {
       return false;
     }
@@ -1091,7 +930,6 @@ bool WorkerHost::harvest_result_ring(std::size_t w, std::size_t& harvested) {
 }
 
 std::size_t WorkerHost::harvest_rings() {
-  if (!rings_active_) return 0;
   std::size_t harvested = 0;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     WorkerState& worker = workers_[w];
@@ -1151,8 +989,8 @@ void WorkerHost::pump(bool block) {
   publish_health();
 
   // Poll the live workers; a death surfaces as EOF/HUP on its socket. The
-  // socket is polled every pump even on the ring path — deaths, Hello,
-  // and telemetry frames still live there.
+  // socket is polled every pump — deaths, Hello, doorbells, and telemetry
+  // frames live there.
   std::vector<pollfd> fds;
   std::vector<std::size_t> owners;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
@@ -1176,27 +1014,23 @@ void WorkerHost::pump(bool block) {
   int timeout = 0;
   bool parked = false;
   if (block && harvested == 0) {
-    if (rings_active_) {
-      if (spin_for_results()) {
-        ring_spin_count_->increment();
-      } else {
-        bool raced = false;
-        for (auto& worker : workers_) {
-          if (!worker.alive) continue;
-          worker.rings->publish_result_waiting();
-          if (worker.rings->result_published()) raced = true;
-        }
-        if (raced) {
-          for (auto& worker : workers_) {
-            if (worker.alive) worker.rings->clear_result_waiting();
-          }
-        } else {
-          timeout = kPollTimeoutMs;
-          parked = true;
-        }
-      }
+    if (spin_for_results()) {
+      ring_spin_count_->increment();
     } else {
-      timeout = kPollTimeoutMs;
+      bool raced = false;
+      for (auto& worker : workers_) {
+        if (!worker.alive) continue;
+        worker.rings->publish_result_waiting();
+        if (worker.rings->result_published()) raced = true;
+      }
+      if (raced) {
+        for (auto& worker : workers_) {
+          if (worker.alive) worker.rings->clear_result_waiting();
+        }
+      } else {
+        timeout = kPollTimeoutMs;
+        parked = true;
+      }
     }
   }
   const int ready = ::poll(fds.data(), fds.size(), timeout);
@@ -1284,18 +1118,6 @@ serve::ServeReport WorkerHost::report() const {
       static_cast<std::size_t>(counter_value(resubmitted_count_));
   report.worker_restarts =
       static_cast<std::size_t>(counter_value(restarts_count_));
-  report.batch_frames =
-      static_cast<std::size_t>(counter_value(batch_frames_count_));
-  report.result_frames =
-      static_cast<std::size_t>(counter_value(result_frames_count_));
-  report.batch_probes_min =
-      batch_probes_hist_ == nullptr
-          ? 0
-          : static_cast<std::size_t>(batch_probes_hist_->min());
-  report.batch_probes_max =
-      batch_probes_hist_ == nullptr
-          ? 0
-          : static_cast<std::size_t>(batch_probes_hist_->max());
   report.rebinds = rebinds_;
   return report;
 }

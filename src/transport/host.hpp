@@ -1,20 +1,22 @@
 // The host side of the multi-process deployment: spawns worker processes
-// over socketpair + fork, drives them with a nonblocking poll() event loop,
-// and realises crash faults as *real process deaths* — a scripted crash
-// window SIGKILLs the worker, the host detects the death, resubmits that
-// worker's in-flight requests to the survivors, and respawns the worker at
-// the recovery boundary.
+// over socketpair + fork, writes every probe into the worker's
+// shared-memory request ring and harvests its result ring, drives the
+// control sockets with a nonblocking poll() event loop, and realises
+// crash faults as *real process deaths* — a scripted crash window
+// SIGKILLs the worker, the host detects the death, resubmits that
+// worker's in-flight requests to the survivors, and respawns the worker
+// at the recovery boundary.
 //
 // The API deliberately mirrors serve::ReplicaPool (set_timeline / submit /
 // poll / wait / drain / report): the WorkerHost is the same serving
 // deployment one abstraction layer lower, with threads replaced by
-// processes and shared memory replaced by the transport::Codec wire
-// protocol.
+// processes, the shared request queue replaced by per-worker rings, and
+// the deployment state shipped as transport::Codec control frames.
 //
 // Determinism contract, inherited from the pool: every accepted request
 // gets a child Rng split off the host's root stream at submission, and its
 // fault state comes from the FaultTimeline by request id. The child's raw
-// state ships inside the request frame, so a request's result is a pure
+// state ships inside the request slot, so a request's result is a pure
 // function of (seed, id, input, timeline) — bit-identical to the
 // in-process ReplicaPool whatever the worker count, the dispatch
 // interleaving, or which workers died along the way. Worker deaths move
@@ -53,37 +55,20 @@ struct TransportConfig {
                             ///< (0 means hardware concurrency)
   std::size_t queue_capacity = 4096;  ///< outstanding requests (accepted,
                                       ///< not yet delivered) before shedding
-  std::size_t batch = 8;  ///< max probes per BatchRequest frame (>= 1); the
-                          ///< wire amortisation knob — results are
-                          ///< bit-identical at any batch size
-  std::size_t pipeline_depth = 4;  ///< outstanding probes per worker, in
-                                   ///< units of `batch` (the per-worker
-                                   ///< window is pipeline_depth * batch)
-  bool adaptive_batch = true;  ///< variable-batch dispatch: frames to a
-                               ///< worker ramp 1, 2, 4, .. up to `batch`
-                               ///< while its pipeline stays busy, and reset
-                               ///< when it idles — an idle fleet fills
-                               ///< immediately, a saturated one keeps the
-                               ///< full wire amortisation. Results are
-                               ///< bit-identical either way; false pins
-                               ///< every frame at `batch` probes
+  std::size_t window = 32;  ///< in-flight probes per worker (>= 1); results
+                            ///< are bit-identical at any window
   dist::SimConfig sim;             ///< per-replica channel capacity
   dist::LatencyModel latency;  ///< per-request, per-neuron latency draws
   /// Optional Corollary-2 straggler cut, size L (empty = full waits).
   std::vector<std::size_t> straggler_cut;
   std::uint64_t seed = 0x5eed;  ///< root of the per-request Rng::split tree
-  /// Shared-memory SPSC rings for the probe hot path (zero-copy slots, no
-  /// syscall per probe; the socketpair demotes to doorbell + control
-  /// channel). Default on where mmap exists; the framed socket path is
-  /// the fully supported fallback, and deployments whose input dimension
-  /// exceeds kRingSlotDoubles fall back automatically. Results are
-  /// bit-identical on either path.
-  bool use_rings = true;
-  /// Slots per direction per worker. Sized to comfortably hold the
-  /// pipeline window (batch * pipeline_depth, 32 by default) while keeping
-  /// the per-worker mapping small enough that fork-per-campaign churn
-  /// stays cheap — a request slot is ~640 bytes, so 256 slots is ~180 KiB
-  /// per worker. A window wider than the ring just caps in-flight slots at
+  /// Slots per direction per worker. Sized to comfortably hold the window
+  /// while keeping the per-worker mapping small enough that
+  /// fork-per-campaign churn stays cheap — a request slot is ~640 bytes,
+  /// so 256 slots is ~180 KiB per worker. A probe wider than
+  /// kRingSlotDoubles inputs spans request_slots(width) slots, and a
+  /// network whose probes need more slots than this is rejected at bind
+  /// and rebind. A window wider than the ring just caps in-flight slots at
   /// the ring (dispatch checks space); correctness never depends on this.
   std::size_t ring_capacity = 256;
   /// Test-only: when a dispatched request id matches, its worker tears the
@@ -126,16 +111,18 @@ struct CrashWindow {
   std::uint64_t end = 0;
 };
 
-/// A deployment of worker processes serving batched traffic over the wire
-/// protocol through an asynchronous submission/completion pipeline.
+/// A deployment of worker processes serving batched traffic over
+/// shared-memory rings through an asynchronous submission/completion
+/// pipeline.
 ///
 /// Threading contract: one driver thread calls submit / poll / wait /
 /// drain / set_timeline / report; the host is not thread-safe across
 /// drivers, and it owns no threads of its own — parallelism lives across
 /// the worker processes. Progress happens inside a nonblocking *pump*
 /// that submit (opportunistically), poll, wait, and drain all share:
-/// each pump runs the crash script, dispatches queued requests to workers
-/// with pipeline room, flushes sockets, and harvests finished results into
+/// each pump runs the crash script, dispatches queued requests into the
+/// rings of workers with window room, flushes sockets, and harvests
+/// finished results into
 /// a serve::CompletionQueue that merges them back into id order. Because
 /// submission never blocks on execution and poll() never blocks at all,
 /// one driver thread can keep several fleets saturated at once by
@@ -224,8 +211,8 @@ class WorkerHost {
   std::size_t pending() const { return outstanding_; }
 
   /// Throughput, completion statistics, and process-fault counters
-  /// (shed / resubmitted / worker_restarts / batch_frames / result_frames)
-  /// over everything delivered since construction or the last rebind() —
+  /// (shed / resubmitted / worker_restarts) over everything delivered
+  /// since construction or the last rebind() —
   /// rebinding starts a fresh logical deployment, so its report starts
   /// fresh too. `rebinds` is the exception: it counts over the fleet's
   /// whole lifetime.
@@ -244,24 +231,12 @@ class WorkerHost {
   std::size_t total_spawns() const { return total_spawns_; }
   /// Times this fleet was rebound (lifetime).
   std::size_t rebinds() const { return rebinds_; }
-  /// BatchRequest frames sent since construction / the last rebind().
-  std::size_t batch_frames() const {
-    return counter_value(batch_frames_count_);
-  }
-  /// BatchResult frames received since construction / the last rebind();
-  /// fewer result than batch frames means workers coalesced.
-  std::size_t result_frames() const {
-    return counter_value(result_frames_count_);
-  }
-  /// True when this deployment serves probes over the shared-memory rings
-  /// (rings on, mapping succeeded, and the bound network's input fits a
-  /// slot). False means every probe rides v4 frames.
-  bool rings_active() const { return rings_active_; }
-  /// Probe slots written into request rings since construction / rebind.
+  /// Request slots written since construction / rebind — continuation
+  /// slots of wide probes included, so probes x request_slots(width).
   std::size_t ring_slots_written() const {
     return counter_value(ring_slots_count_);
   }
-  /// Doorbell bytes exchanged (both directions) on the demoted socket.
+  /// Doorbell bytes exchanged (both directions) on the control socket.
   std::size_t ring_doorbells() const {
     return counter_value(ring_doorbells_count_);
   }
@@ -344,19 +319,17 @@ class WorkerHost {
     std::vector<std::uint8_t> outbox;  ///< bytes queued, not yet written
     /// Request ids awaiting results, in dispatch order. A deque: workers
     /// answer in order, so the ring harvest pops the front once per probe
-    /// — O(1) where a vector would memmove the whole pipeline window.
+    /// — O(1) where a vector would memmove the whole window.
     std::deque<std::uint64_t> inflight;
-    /// Transient dispatch_rings marker: this worker received slots in the
+    /// Transient dispatch() marker: this worker received slots in the
     /// current call and owes one doorbell check at the end of it.
     bool ring_dispatched = false;
-    std::size_t ramp = 0;  ///< adaptive-batch size of the last frame sent
     /// host_clock - worker_clock at Hello receipt: shifts this worker's
     /// Telemetry events onto the host trace timebase.
     std::int64_t clock_offset_ns = 0;
     /// Shared-memory ring pair, mapped before the first fork and reused
-    /// (reset, never remapped) across respawns. Null when rings are off
-    /// or unavailable.
-    std::shared_ptr<WorkerRings> rings;
+    /// (reset, never remapped) across respawns.
+    std::unique_ptr<WorkerRings> rings;
     /// Control-plane frames enqueued to this worker process (bind,
     /// segments, rebind). Stamped into each request slot so the worker
     /// can defer ring probes that would overtake an in-flight control
@@ -365,7 +338,7 @@ class WorkerHost {
     /// The host control_gen_ this worker's applied deployment state
     /// matches; lets rebind() skip re-sending an identical deployment.
     std::uint64_t control_gen = 0;
-    /// Results harvested from this worker (frames + rings), lifetime —
+    /// Results harvested from this worker, lifetime —
     /// half of the health-mirror progress odometer. Plain field: only the
     /// driver touches it; publish_health() copies it into the atomics.
     std::uint64_t harvested_total = 0;
@@ -402,23 +375,21 @@ class WorkerHost {
   bool flush_outbox(std::size_t w);  ///< false when the write found a corpse
 
   /// One turn of the event loop: crash-script maintenance, dispatch of
-  /// queued/resubmitted requests into workers with pipeline room, socket
+  /// queued/resubmitted requests into workers with window room, socket
   /// flush, a poll() that blocks up to the timeout only when `block`, and
-  /// a harvest of every readable result into the completion queue.
+  /// a harvest of every finished result into the completion queue.
   void pump(bool block);
+  /// Writes queued/resubmitted probes directly into request-ring slots
+  /// (least-loaded placement within the window), ringing the doorbell of
+  /// any parked worker.
   void dispatch();
-  /// Ring fast path of dispatch(): writes queued/resubmitted probes
-  /// directly into request-ring slots (least-loaded placement, same
-  /// pipeline window as the frame path), ringing the doorbell of any
-  /// parked worker.
-  void dispatch_rings();
   /// Drains every live worker's committed result slots into the
   /// completion queue (plus a space doorbell for workers parked on a full
   /// result ring). Returns how many results it harvested.
   std::size_t harvest_rings();
   /// Drains one worker's committed result slots. False on a protocol
   /// violation (unknown id, bad status) — the caller declares the worker
-  /// dead, exactly like a malformed frame.
+  /// dead, exactly like a malformed control frame.
   bool harvest_result_ring(std::size_t w, std::size_t& harvested);
   /// Bounded spin across the live result rings (the spin half of the
   /// host's spin-then-sleep wait). True when a result showed up.
@@ -432,10 +403,11 @@ class WorkerHost {
   /// refresh_bind=false skips re-serializing the network (timeline-only
   /// changes cannot move the bind payload).
   void refresh_control_frames(bool refresh_bind = true);
-  /// Reads and frames everything `w`'s socket has, harvesting results.
+  /// Flushes `w`'s outbox and reads everything its socket has: doorbell
+  /// bytes, Hello, and Telemetry frames.
   void service_worker(std::size_t w, bool readable, bool writable);
   void delivered(const serve::RequestResult& result);
-  /// Ingests one worker Telemetry frame (protocol v4) into the process
+  /// Ingests one worker Telemetry frame into the process
   /// TraceLog, clock-shifted by the worker's Hello offset. False when the
   /// payload does not decode (protocol violation).
   bool ingest_telemetry(const WorkerState& worker, const Frame& frame);
@@ -485,7 +457,7 @@ class WorkerHost {
   }
 
   // Aggregates over every delivery since construction / the last rebind()
-  // (id order, so deterministic). The fault/frame counters live in the
+  // (id order, so deterministic). The fault/ring counters live in the
   // metrics registry (report() derives from it; rebind() resets it);
   // completion times keep exact samples for the pinned report quantiles.
   // rebinds_ and total_spawns_ are lifetime, like the fleet itself.
@@ -496,8 +468,6 @@ class WorkerHost {
   obs::Counter* resets_count_ = nullptr;
   obs::Counter* resubmitted_count_ = nullptr;
   obs::Counter* restarts_count_ = nullptr;
-  obs::Counter* batch_frames_count_ = nullptr;
-  obs::Counter* result_frames_count_ = nullptr;
   obs::Counter* ring_slots_count_ = nullptr;
   obs::Counter* ring_doorbells_count_ = nullptr;
   obs::Counter* ring_torn_count_ = nullptr;
@@ -505,14 +475,8 @@ class WorkerHost {
   obs::Counter* ring_sleep_count_ = nullptr;
   obs::LogHistogram* completion_hist_ = nullptr;
   obs::LogHistogram* queue_depth_hist_ = nullptr;
-  /// Probes per BatchRequest frame; its exact min/max are the report's
-  /// batch_probes_min/max.
-  obs::LogHistogram* batch_probes_hist_ = nullptr;
   std::size_t rebinds_ = 0;
   std::size_t total_spawns_ = 0;
-  /// True when the current deployment serves probes over the rings (see
-  /// rings_active()); recomputed at every bind/rebind.
-  bool rings_active_ = false;
   /// The debug_tear_result_at hook has fired (it tears exactly one slot:
   /// the resubmitted probe must ship clean or the fleet would relive the
   /// crash forever).

@@ -11,20 +11,18 @@
 
 namespace wnf::transport {
 
-bool rings_available() { return WNF_RING_POSIX != 0; }
-
 #if WNF_RING_POSIX
 
-std::shared_ptr<WorkerRings> WorkerRings::create(std::size_t capacity) {
-  if (capacity == 0) return nullptr;
+std::unique_ptr<WorkerRings> WorkerRings::create(std::size_t capacity) {
+  WNF_EXPECTS(capacity > 0);
   const std::size_t bytes = 2 * sizeof(RingControl) +
                             capacity * sizeof(RequestSlot) +
                             capacity * sizeof(ResultSlot);
   void* mem = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  if (mem == MAP_FAILED) return nullptr;
+  WNF_ASSERT(mem != MAP_FAILED);
 
-  auto rings = std::shared_ptr<WorkerRings>(new WorkerRings());
+  auto rings = std::unique_ptr<WorkerRings>(new WorkerRings());
   rings->capacity_ = capacity;
   rings->mem_ = mem;
   rings->bytes_ = bytes;
@@ -67,7 +65,8 @@ void WorkerRings::reset() {
 
 #else  // !WNF_RING_POSIX
 
-std::shared_ptr<WorkerRings> WorkerRings::create(std::size_t) {
+std::unique_ptr<WorkerRings> WorkerRings::create(std::size_t) {
+  WNF_EXPECTS(false && "shared-memory rings need POSIX mmap");
   return nullptr;
 }
 

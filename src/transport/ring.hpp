@@ -1,10 +1,12 @@
-// Shared-memory SPSC rings: the zero-copy probe hot path of the
-// multi-process deployment. Each worker owns a pair of lock-free
+// Shared-memory SPSC rings: the probe plane of the multi-process
+// deployment. Each worker owns a pair of lock-free
 // single-producer/single-consumer rings in one anonymous shared mapping
 // created by the host *before* fork — a host→worker request ring and a
 // worker→host result ring — with cache-line-aligned fixed-size slots the
 // producer writes in place and the consumer reads in place: no
-// serialization, no checksum, no syscall on the data path.
+// serialization, no checksum, no syscall on the data path. Every probe
+// rides these rings; the socket carries only control frames and doorbell
+// bytes.
 //
 // Commit protocol (seqlock-style, per slot): the producer writes the
 // slot's sequence number twice around the payload —
@@ -22,18 +24,26 @@
 // stale commit: position p and position p-capacity commit different
 // sequence values.
 //
+// Wide probes: an input wider than kRingSlotDoubles spans
+// request_slots(width) consecutive request slots. The head slot carries
+// the header and the first kRingSlotDoubles inputs; each continuation
+// slot carries only the next run of inputs in its x array. Only the head
+// publishes a commit word, and the tail advances past every slot at once,
+// so the consumer sees the whole probe or none of it — and a continuation
+// slot can never pass for a committed head, because heads are found by
+// position and a continuation's stale commit word names an older lap.
+//
 // Wakeups: the data path never blocks — a consumer that runs dry spins
 // with exponential backoff (SpinBackoff), then publishes a waiting flag
-// and parks on the socketpair, which the rings demote to a doorbell +
-// control channel. The producer, after publishing, atomically exchanges
-// the flag and sends a single doorbell byte (kDoorbellByte, never a valid
-// frame start) only when it observed the peer parked — at most one byte
-// per park, zero bytes while both sides run hot. The flag handshake is
-// seq_cst on both sides (Dekker: either the parker sees the new tail, or
-// the producer sees the flag), so a wakeup cannot be lost. The result
-// ring carries a second flag for the reverse direction — a worker parked
-// because the result ring is *full* is woken by the host after it
-// harvests.
+// and parks on the socketpair. The producer, after publishing, atomically
+// exchanges the flag and sends a single doorbell byte (kDoorbellByte,
+// never a valid frame start) only when it observed the peer parked — at
+// most one byte per park, zero bytes while both sides run hot. The flag
+// handshake is seq_cst on both sides (Dekker: either the parker sees the
+// new tail, or the producer sees the flag), so a wakeup cannot be lost.
+// The result ring carries a second flag for the reverse direction — a
+// worker parked because the result ring is *full* is woken by the host
+// after it harvests.
 //
 // Layout of one worker's mapping:
 //
@@ -45,20 +55,19 @@
 // forking its replacement, so every child inherits a quiescent ring.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
-namespace wnf::transport {
+#include "util/contract.hpp"
 
-/// True when this platform can back the rings (POSIX anonymous shared
-/// mmap). False makes WorkerRings::create return null and the host fall
-/// back to the framed socket path.
-bool rings_available();
+namespace wnf::transport {
 
 /// The doorbell byte. Frames always start with the first magic byte
 /// (0x31, "WNF1" little-endian), and neither side ever interleaves a
@@ -66,10 +75,18 @@ bool rings_available();
 /// strip unambiguously.
 inline constexpr std::uint8_t kDoorbellByte = 0xDB;
 
-/// Input payload capacity of a request slot, in doubles. Deployments with
-/// wider inputs fall back to the framed socket path (the host checks at
-/// bind/rebind); probes inside the cap ship with zero serialization.
+/// Input payload capacity of one request slot, in doubles.
 inline constexpr std::size_t kRingSlotDoubles = 64;
+
+/// Request slots a probe of `width` inputs occupies: one up to
+/// kRingSlotDoubles, ceil(width / kRingSlotDoubles) beyond. A deployment
+/// whose probes need more slots than the ring holds can never dispatch
+/// one, so the host rejects it at bind and rebind.
+constexpr std::size_t request_slots(std::size_t width) {
+  return width <= kRingSlotDoubles
+             ? 1
+             : (width + kRingSlotDoubles - 1) / kRingSlotDoubles;
+}
 
 /// Request-slot flag: the worker writes the matching result slot's
 /// begin_seq and a partial payload, then SIGKILLs itself — a
@@ -77,8 +94,17 @@ inline constexpr std::size_t kRingSlotDoubles = 64;
 /// TransportConfig::debug_tear_result_at; never set in production.
 inline constexpr std::uint32_t kSlotFlagTearForTest = 1u;
 
-/// One probe, host → worker, written in place. 64-byte aligned so a slot
-/// never shares a cache line with its neighbour.
+/// Completion status byte of a ResultSlot. A compliant worker only ever
+/// reports kOk (a probe it cannot evaluate is a protocol violation and the
+/// worker exits instead); the host treats any other byte as a violation.
+enum class ProbeStatus : std::uint8_t {
+  kOk = 0,
+  kFailed = 1,
+};
+
+/// One probe (or, for a wide probe, its head), host → worker, written in
+/// place. 64-byte aligned so a slot never shares a cache line with its
+/// neighbour. A continuation slot of a wide probe uses only `x`.
 struct alignas(64) RequestSlot {
   std::atomic<std::uint64_t> begin_seq{0};
   std::uint64_t id = 0;
@@ -88,7 +114,7 @@ struct alignas(64) RequestSlot {
   /// lands — the ring must never overtake the control channel.
   std::uint64_t epoch = 0;
   std::uint32_t segment = 0;
-  std::uint32_t x_count = 0;
+  std::uint32_t x_count = 0;  ///< the probe's whole width, all slots
   std::uint32_t flags = 0;
   std::uint32_t pad_ = 0;
   std::array<std::uint64_t, 4> rng_state{};  ///< raw Rng::split state
@@ -182,10 +208,9 @@ class SpinBackoff {
 /// result consumer cursors, the worker the other two.
 class WorkerRings {
  public:
-  /// Maps and initialises a ring pair; null when the platform cannot (no
-  /// mmap) or the mapping fails — the caller falls back to the socket
-  /// path.
-  static std::shared_ptr<WorkerRings> create(std::size_t capacity);
+  /// Maps and initialises a ring pair of `capacity` slots per direction.
+  /// Aborts when the mapping fails, like a failed socketpair or fork.
+  static std::unique_ptr<WorkerRings> create(std::size_t capacity);
 
   ~WorkerRings();
   WorkerRings(const WorkerRings&) = delete;
@@ -198,14 +223,17 @@ class WorkerRings {
   void reset();
 
   // --- request ring, host side (producer) -------------------------------
-  bool request_free() const {
-    return req_push_ - req_ctl_->head.load(std::memory_order_acquire) <
+  /// True when a probe of `width` inputs fits the free slots.
+  bool request_free(std::size_t width) const {
+    return req_push_ + request_slots(width) -
+               req_ctl_->head.load(std::memory_order_acquire) <=
            capacity_;
   }
-  /// Starts a slot write (publishes begin_seq); null when the ring is
-  /// full. The caller fills the payload and calls commit_request().
-  RequestSlot* try_begin_request() {
-    if (!request_free()) return nullptr;
+  /// Starts a probe write of `width` inputs (publishes the head slot's
+  /// begin_seq); null when the ring lacks request_slots(width) free
+  /// slots. The caller fills the header fields, then commit_request().
+  RequestSlot* try_begin_request(std::size_t width) {
+    if (!request_free(width)) return nullptr;
     RequestSlot& slot = req_slots_[req_push_ % capacity_];
     slot.begin_seq.store(req_push_ + 1, std::memory_order_release);
     // Compiler-only fence: the payload stores that follow must not sink
@@ -213,12 +241,22 @@ class WorkerRings {
     // like a signal, and the torn-slot forensics read the two sequence
     // words of whatever the corpse had actually stored.
     std::atomic_signal_fence(std::memory_order_seq_cst);
+    slot.x_count = static_cast<std::uint32_t>(width);
     return &slot;
   }
-  void commit_request() {
-    RequestSlot& slot = req_slots_[req_push_ % capacity_];
-    slot.commit_seq.store(req_push_ + 1, std::memory_order_release);
-    ++req_push_;
+  /// Copies `x` into the head slot begun above and, past
+  /// kRingSlotDoubles, into the continuation slots; then publishes the
+  /// head's commit word and advances the tail past every slot at once.
+  void commit_request(std::span<const double> x) {
+    RequestSlot& head = req_slots_[req_push_ % capacity_];
+    WNF_ASSERT(x.size() == head.x_count);
+    for (std::size_t at = 0, s = 0; at < x.size();
+         at += kRingSlotDoubles, ++s) {
+      const std::size_t n = std::min(kRingSlotDoubles, x.size() - at);
+      std::copy_n(x.data() + at, n, req_slots_[(req_push_ + s) % capacity_].x);
+    }
+    head.commit_seq.store(req_push_ + 1, std::memory_order_release);
+    req_push_ += request_slots(x.size());
     req_ctl_->tail.store(req_push_, std::memory_order_seq_cst);
   }
   /// True when the worker had parked on an empty request ring — the host
@@ -234,7 +272,7 @@ class WorkerRings {
     const RequestSlot& slot = req_slots_[req_pop_ % capacity_];
     return slot.commit_seq.load(std::memory_order_acquire) == req_pop_ + 1;
   }
-  /// The committed slot at the head, or null. Valid until pop_request().
+  /// The committed probe at the head, or null. Valid until pop_request().
   RequestSlot* peek_request() {
     RequestSlot& slot = req_slots_[req_pop_ % capacity_];
     if (slot.commit_seq.load(std::memory_order_acquire) != req_pop_ + 1) {
@@ -242,8 +280,25 @@ class WorkerRings {
     }
     return &slot;
   }
+  /// The head probe's inputs: read in place when they fit one slot,
+  /// gathered from the continuation slots into `scratch` (reused across
+  /// probes, so a steady wide stream allocates once) otherwise.
+  std::span<const double> request_input(const RequestSlot& head,
+                                        std::vector<double>& scratch) const {
+    const std::size_t width = head.x_count;
+    if (width <= kRingSlotDoubles) return {head.x, width};
+    WNF_ASSERT(request_slots(width) <= capacity_);
+    scratch.resize(width);
+    for (std::size_t at = 0, s = 0; at < width; at += kRingSlotDoubles, ++s) {
+      const std::size_t n = std::min(kRingSlotDoubles, width - at);
+      std::copy_n(req_slots_[(req_pop_ + s) % capacity_].x, n,
+                  scratch.data() + at);
+    }
+    return scratch;
+  }
+  /// Pops the head probe together with every continuation slot it spans.
   void pop_request() {
-    ++req_pop_;
+    req_pop_ += request_slots(req_slots_[req_pop_ % capacity_].x_count);
     req_ctl_->head.store(req_pop_, std::memory_order_release);
   }
   void publish_request_waiting() {

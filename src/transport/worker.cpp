@@ -9,7 +9,6 @@
 
 #include <cerrno>
 #include <memory>
-#include <optional>
 #include <span>
 #include <sstream>
 
@@ -27,7 +26,7 @@ namespace wnf::transport {
 
 bool transport_available() { return false; }
 
-int worker_main(int, std::uint32_t, WorkerRings*) {
+int worker_main(int, std::uint32_t, WorkerRings&) {
   WNF_EXPECTS(false && "transport workers need POSIX fork/socketpair");
   return 1;
 }
@@ -106,17 +105,12 @@ bool handle_rebind(const Frame& frame, Replica& replica) {
   return true;
 }
 
-/// Evaluates one probe on the replica, reading the input wherever it
-/// lives (a decoded frame's vector or a ring slot, in place). False when
-/// the probe is structurally invalid for the current binding (the host
-/// never sends such a probe, so this is a protocol violation and the
-/// worker exits).
-bool evaluate_probe_core(std::uint64_t id, std::uint32_t segment,
-                         const std::array<std::uint64_t, 4>& rng_state,
-                         std::span<const double> x, Replica& replica,
-                         ResultMsg& result) {
-  if (!replica.sim) return false;
-  if (x.size() != replica.net.input_dim()) return false;
+/// Evaluates one ring probe on the bound replica. False when the probe
+/// addresses a segment the binding does not have (the host never sends
+/// such a probe, so this is a protocol violation and the worker exits).
+bool evaluate_probe(const RequestSlot& req, std::span<const double> x,
+                    Replica& replica, dist::SimResult& result) {
+  const std::uint32_t segment = req.segment;
   if (segment >= replica.segments.size() &&
       !(segment == 0 && replica.segments.empty())) {
     return false;
@@ -135,76 +129,17 @@ bool evaluate_probe_core(std::uint64_t id, std::uint32_t segment,
   }
   // The request's RNG stream is the host's split child, bit for bit.
   Rng request_rng;
-  request_rng.set_state(rng_state);
+  request_rng.set_state(req.rng_state);
   replica.sim->sample_latencies(replica.latency, request_rng);
-  const dist::SimResult sim_result =
-      replica.wait_counts.empty()
-          ? replica.sim->evaluate(x)
-          : replica.sim->evaluate_boosted(
-                x,
-                {replica.wait_counts.data(), replica.wait_counts.size()});
-  result.id = id;
-  result.output = sim_result.output;
-  result.completion_time = sim_result.completion_time;
-  result.resets_sent = sim_result.resets_sent;
+  result = replica.wait_counts.empty()
+               ? replica.sim->evaluate(x)
+               : replica.sim->evaluate_boosted(
+                     x, {replica.wait_counts.data(),
+                         replica.wait_counts.size()});
   return true;
 }
 
-bool evaluate_probe(const RequestMsg& msg, Replica& replica,
-                    ResultMsg& result) {
-  return evaluate_probe_core(msg.id, msg.segment, msg.rng_state,
-                             {msg.x.data(), msg.x.size()}, replica, result);
-}
-
-bool handle_request(const Frame& frame, Replica& replica, int fd) {
-  const auto msg = Codec::decode_request(frame.payload);
-  if (!msg) return false;
-  ResultMsg result;
-  if (!evaluate_probe(*msg, replica, result)) return false;
-  return send_all(fd,
-                  Codec::encode(MessageType::kResult,
-                                Codec::encode_result(result)));
-}
-
-/// Evaluates a batch request's probes into `pending` without sending
-/// anything: under pipeline pressure several request frames sit in the
-/// read buffer at once, and their finished probes coalesce into one
-/// BatchResult frame when the worker next turns the socket around
-/// (protocol v3 — the host acknowledges probes by id, so how results
-/// group into frames is free). False on a probe the worker cannot
-/// evaluate (protocol violation; the worker exits).
-bool handle_batch_request(const Frame& frame, Replica& replica,
-                          BatchResultMsg& pending) {
-  std::optional<BatchRequestMsg> msg;
-  {
-    const obs::ScopedSpan decode(obs::TraceName::kWorkerDecode, 0,
-                                 frame.payload.size());
-    msg = Codec::decode_batch_request(frame.payload);
-  }
-  if (!msg) return false;
-  pending.results.reserve(pending.results.size() + msg->probes.size());
-  for (const RequestMsg& probe : msg->probes) {
-    const obs::ScopedSpan span(obs::TraceName::kWorkerExecute, probe.id);
-    ResultMsg result;
-    if (!evaluate_probe(probe, replica, result)) return false;
-    pending.results.push_back({result.id, ProbeStatus::kOk, result.output,
-                               result.completion_time, result.resets_sent});
-  }
-  return true;
-}
-
-/// Ships every coalesced result accumulated so far, if any.
-bool flush_pending(int fd, BatchResultMsg& pending) {
-  if (pending.results.empty()) return true;
-  obs::instant(obs::TraceName::kWorkerFlush, 0, pending.results.size());
-  const bool sent =
-      send_all(fd, Codec::encode(MessageType::kBatchResult,
-                                 Codec::encode_batch_result(pending)));
-  pending.results.clear();
-  return sent;
-}
-
-/// Ships the worker's trace ring as one protocol v4 Telemetry frame and
+/// Ships the worker's trace ring as one Telemetry frame and
 /// clears it. A no-op when tracing recorded nothing (disabled or compiled
 /// out), so a quiet worker costs the wire nothing. Called at the
 /// deployment boundaries — Shutdown and just before a Rebind applies — so
@@ -227,29 +162,32 @@ struct RingServe {
   bool host_gone = false;  ///< doorbell hit a closed socket: exit 0
 };
 
-/// Serves every committed request slot the ring holds (stopping when the
-/// result ring has no space): evaluate straight out of the request slot,
-/// write the outcome straight into a result slot, publish it with the
-/// commit word. A probe whose epoch is ahead of the control frames applied
-/// so far is deferred — the bind/segments frame it waits for is already in
-/// flight on the socket, and serving it early would race the swap. One
-/// doorbell byte goes out at the end of the burst, and only when the host
-/// had published itself parked: waking the host per slot would hand the
-/// CPU back and forth once per probe, while a parked host loses nothing
-/// by sleeping until the whole burst is committed (the flag handshake is
-/// seq_cst, so a host parking mid-burst either sees the new tail in its
-/// recheck or is caught by this exchange).
+/// Serves every committed probe the request ring holds (stopping when the
+/// result ring has no space): evaluate straight out of the request slot
+/// (a wide probe gathers into `scratch` first), write the outcome straight
+/// into a result slot, publish it with the commit word, and pop every
+/// request slot the probe spanned. A probe whose epoch is ahead of the
+/// control frames applied so far is deferred — the bind/segments frame it
+/// waits for is already in flight on the socket, and serving it early
+/// would race the swap. One doorbell byte goes out at the end of the
+/// burst, and only when the host had published itself parked: waking the
+/// host per slot would hand the CPU back and forth once per probe, while a
+/// parked host loses nothing by sleeping until the whole burst is
+/// committed (the flag handshake is seq_cst, so a host parking mid-burst
+/// either sees the new tail in its recheck or is caught by this exchange).
 RingServe serve_ring(WorkerRings& rings, Replica& replica,
-                     std::uint64_t applied_epoch, int fd) {
+                     std::uint64_t applied_epoch, int fd,
+                     std::vector<double>& scratch) {
   RingServe out;
   while (rings.result_free()) {
     RequestSlot* req = rings.peek_request();
     if (req == nullptr) break;
     if (req->epoch > applied_epoch) break;
     const obs::ScopedSpan span(obs::TraceName::kWorkerExecute, req->id);
-    ResultMsg result;
-    if (!evaluate_probe_core(req->id, req->segment, req->rng_state,
-                             {req->x, req->x_count}, replica, result)) {
+    dist::SimResult result;
+    if (!replica.sim || req->x_count != replica.net.input_dim() ||
+        !evaluate_probe(*req, rings.request_input(*req, scratch), replica,
+                        result)) {
       out.violation = true;
       return out;
     }
@@ -259,10 +197,10 @@ RingServe serve_ring(WorkerRings& rings, Replica& replica,
       // Crash-recovery test hook: die with the slot's begin_seq published
       // and a partial payload written but the commit word untouched — the
       // canonical torn slot the host must detect and resubmit around.
-      res->id = result.id;
+      res->id = req->id;
       ::kill(::getpid(), SIGKILL);
     }
-    res->id = result.id;
+    res->id = req->id;
     res->output = result.output;
     res->completion_time = result.completion_time;
     res->resets_sent = result.resets_sent;
@@ -279,9 +217,9 @@ RingServe serve_ring(WorkerRings& rings, Replica& replica,
 
 }  // namespace
 
-int worker_main(int fd, std::uint32_t worker_index, WorkerRings* rings) {
+int worker_main(int fd, std::uint32_t worker_index, WorkerRings& rings) {
 #if defined(SO_NOSIGPIPE)
-  // Platforms without MSG_NOSIGNAL (macOS): a result sent to a dead host
+  // Platforms without MSG_NOSIGNAL (macOS): a frame sent to a dead host
   // must fail with EPIPE (clean exit 1), not SIGPIPE.
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof(one));
@@ -301,16 +239,14 @@ int worker_main(int fd, std::uint32_t worker_index, WorkerRings* rings) {
 
   Replica replica;
   std::vector<std::uint8_t> buffer;
-  BatchResultMsg pending;  ///< finished probes not yet shipped (coalescing)
+  std::vector<double> scratch;  ///< gather buffer for wide probes
   // Control-plane frames applied so far; gates which ring probes may run
   // (a slot stamped with a later epoch waits for its control frame).
   std::uint64_t applied_epoch = 0;
   SpinBackoff backoff;
   std::uint8_t chunk[4096];
   while (true) {
-    // Drain every complete frame before reading more bytes. Batch-request
-    // probes accumulate in `pending`; control frames flush first so the
-    // host never sees results reordered across a bind/rebind boundary.
+    // Apply every complete control frame before serving more probes.
     // Doorbell bytes (ring wakeups) sit between frames; the wakeup already
     // happened, so they just strip.
     Frame frame;
@@ -322,12 +258,10 @@ int worker_main(int fd, std::uint32_t worker_index, WorkerRings* rings) {
       }
       switch (frame.type) {
         case MessageType::kBind:
-          if (!flush_pending(fd, pending)) return 1;
           if (!handle_bind(frame, replica)) return 1;
           ++applied_epoch;
           break;
         case MessageType::kSegments: {
-          if (!flush_pending(fd, pending)) return 1;
           auto msg = Codec::decode_segments(frame.payload);
           if (!msg) return 1;
           replica.segments = std::move(msg->plans);
@@ -335,27 +269,18 @@ int worker_main(int fd, std::uint32_t worker_index, WorkerRings* rings) {
           ++applied_epoch;
           break;
         }
-        case MessageType::kRequest:
-          if (!flush_pending(fd, pending)) return 1;
-          if (!handle_request(frame, replica, fd)) return 1;
-          break;
-        case MessageType::kBatchRequest:
-          if (!handle_batch_request(frame, replica, pending)) return 1;
-          break;
         case MessageType::kRebind:
           // The old deployment's telemetry ships before the swap applies,
           // so the host attributes every event to the deployment that
           // produced it.
-          if (!flush_pending(fd, pending)) return 1;
           if (!flush_telemetry(fd)) return 1;
           if (!handle_rebind(frame, replica)) return 1;
           ++applied_epoch;
           break;
         case MessageType::kShutdown:
-          if (!flush_pending(fd, pending)) return 1;
           return flush_telemetry(fd) ? 0 : 1;
         default:
-          return 1;  // kHello/kResult/kBatchResult never flow host -> worker
+          return 1;  // kHello/kTelemetry never flow host -> worker
       }
     }
     if (status == ParseStatus::kMalformed ||
@@ -363,84 +288,62 @@ int worker_main(int fd, std::uint32_t worker_index, WorkerRings* rings) {
       return 1;
     }
 
-    // Ring fast path: serve everything committed (and not epoch-gated),
-    // then peek the socket once so a control frame pipelined behind ring
-    // traffic cannot starve.
-    if (rings != nullptr) {
-      const RingServe burst = serve_ring(*rings, replica, applied_epoch, fd);
-      if (burst.violation) return 1;
-      if (burst.host_gone) return 0;
-      if (burst.served > 0) {
-        backoff.reset();
-        const ssize_t n = ::recv(fd, chunk, sizeof(chunk), MSG_DONTWAIT);
-        if (n > 0) {
-          buffer.insert(buffer.end(), chunk, chunk + n);
-        } else if (n == 0) {
-          return 0;  // host closed: treat like a shutdown
-        } else if (errno != EAGAIN && errno != EWOULDBLOCK &&
-                   errno != EINTR) {
-          return 1;
-        }
-        continue;
-      }
-    }
-
-    // Coalescing turn-around: with results pending, peek for more request
-    // frames the host already pipelined — if any bytes are queued, keep
-    // evaluating into the same pending batch; only when the socket runs
-    // dry does one combined BatchResult frame go out.
-    if (!pending.results.empty()) {
+    // Serve everything committed (and not epoch-gated), then peek the
+    // socket once so a control frame pipelined behind ring traffic cannot
+    // starve.
+    const RingServe burst =
+        serve_ring(rings, replica, applied_epoch, fd, scratch);
+    if (burst.violation) return 1;
+    if (burst.host_gone) return 0;
+    if (burst.served > 0) {
+      backoff.reset();
       const ssize_t n = ::recv(fd, chunk, sizeof(chunk), MSG_DONTWAIT);
       if (n > 0) {
         buffer.insert(buffer.end(), chunk, chunk + n);
-        continue;
+      } else if (n == 0) {
+        return 0;  // host closed: treat like a shutdown
+      } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+        return 1;
       }
-      if (n == 0) return 0;  // host closed: treat like a shutdown
-      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) return 1;
-      if (!flush_pending(fd, pending)) return 1;
-      continue;  // back to a blocking read with an empty pending batch
+      continue;
     }
 
-    // Idle with rings: spin-then-sleep. Spin a bounded budget re-checking
-    // the rings (the outer loop re-runs serve_ring each round); once dry,
-    // publish the waiting flag matching what we are starved of and park on
-    // the socket — the host doorbells the transition. The publish/recheck
+    // Idle: spin-then-sleep. Spin a bounded budget re-checking the rings
+    // (the outer loop re-runs serve_ring each round); once dry, publish
+    // the waiting flag matching what we are starved of and park on the
+    // socket — the host doorbells the transition. The publish/recheck
     // handshake is seq_cst against the peer's cursor publish, so the park
     // cannot miss a wakeup.
-    if (rings != nullptr) {
-      if (backoff.spin()) continue;
-      backoff.reset();
-      if (rings->request_ready() && !rings->result_free()) {
-        // Probes are waiting but the result ring is full: ask the host to
-        // ring back once it harvests.
-        rings->publish_result_space_waiting();
-        if (rings->result_space_published()) {
-          rings->clear_result_space_waiting();
-          continue;
-        }
-      } else if (!rings->request_ready()) {
-        rings->publish_request_waiting();
-        if (rings->request_published()) {
-          rings->clear_request_waiting();
-          continue;
-        }
-      } else if (const RequestSlot* head = rings->peek_request();
-                 head != nullptr && head->epoch <= applied_epoch) {
-        // A probe was committed after serve_ring found the ring empty:
-        // serve it now. Parking here would publish no waiting flag, so
-        // the host would never ring the doorbell.
+    if (backoff.spin()) continue;
+    backoff.reset();
+    if (rings.request_ready() && !rings.result_free()) {
+      // Probes are waiting but the result ring is full: ask the host to
+      // ring back once it harvests.
+      rings.publish_result_space_waiting();
+      if (rings.result_space_published()) {
+        rings.clear_result_space_waiting();
         continue;
       }
-      // else: the head probe is epoch-gated — its control frame is
-      // already in flight on the socket, so the blocking read below is
-      // exactly the right wait (no ring flag needed).
+    } else if (!rings.request_ready()) {
+      rings.publish_request_waiting();
+      if (rings.request_published()) {
+        rings.clear_request_waiting();
+        continue;
+      }
+    } else if (const RequestSlot* head = rings.peek_request();
+               head != nullptr && head->epoch <= applied_epoch) {
+      // A probe was committed after serve_ring found the ring empty:
+      // serve it now. Parking here would publish no waiting flag, so
+      // the host would never ring the doorbell.
+      continue;
     }
+    // else: the head probe is epoch-gated — its control frame is already
+    // in flight on the socket, so the blocking read below is exactly the
+    // right wait (no ring flag needed).
 
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (rings != nullptr) {
-      rings->clear_request_waiting();
-      rings->clear_result_space_waiting();
-    }
+    rings.clear_request_waiting();
+    rings.clear_result_space_waiting();
     if (n < 0) {
       if (errno == EINTR) continue;
       return 1;

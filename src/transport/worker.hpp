@@ -1,10 +1,12 @@
 // The worker side of the multi-process deployment: one forked process per
-// worker, each hosting its own dist::NetworkSimulator replica and speaking
-// the transport::Codec wire protocol over a Unix-domain socketpair. The
-// worker is intentionally dumb — it holds no scheduling, timeline, or RNG
-// policy. Everything that determines a result (the network, the segment
-// plans, the request's split-off RNG state) arrives over the wire, which
-// is what makes a worker's answer a pure function of its frames and the
+// worker, each hosting its own dist::NetworkSimulator replica. Probes
+// arrive through the worker's shared-memory request ring and leave
+// through its result ring; the Unix-domain socketpair carries the
+// transport::Codec control frames and doorbell bytes. The worker is
+// intentionally dumb — it holds no scheduling, timeline, or RNG policy.
+// Everything that determines a result (the network, the segment plans,
+// the probe's split-off RNG state) arrives from the host, which is what
+// makes a worker's answer a pure function of what it was sent and the
 // whole deployment bit-identical to the in-process ReplicaPool.
 #pragma once
 
@@ -19,23 +21,18 @@ bool transport_available();
 
 class WorkerRings;
 
-/// Runs the worker protocol loop on `fd` (the worker end of the pair)
-/// until a shutdown frame, EOF (host closed or died), or a protocol
-/// violation. Sends a Hello first, then serves kBind/kSegments/kRequest/
-/// kBatchRequest/kRebind — a worker outlives any single campaign: a
-/// kRebind swaps its whole replica state in place, which is what lets the
-/// host reuse one forked fleet across many run_trials cycles. Returns the
+/// Runs the worker loop on `fd` (the worker end of the pair) and `rings`
+/// (the host's pre-fork shared mapping for this worker) until a shutdown
+/// frame, EOF (host closed or died), or a protocol violation. Sends a
+/// Hello first, then applies kBind/kSegments/kRebind control frames and
+/// serves every probe the request ring delivers — a worker outlives any
+/// single campaign: a kRebind swaps its whole replica state in place,
+/// which is what lets the host reuse one forked fleet across many
+/// run_trials cycles. Ring probes whose epoch is ahead of the control
+/// frames applied so far are deferred until the in-flight bind/segments
+/// lands, so the ring can never overtake the control channel. Returns the
 /// process exit code: 0 for a clean shutdown or host EOF, 1 for malformed
 /// input or an I/O error. Never returns on unsupported platforms (aborts).
-///
-/// With `rings` non-null (the host's pre-fork shared mapping for this
-/// worker), probes additionally arrive through the request ring and
-/// results leave through the result ring — the zero-copy hot path — while
-/// the socket carries only control frames and doorbell bytes. Ring probes
-/// whose epoch is ahead of the control frames applied so far are deferred
-/// until the in-flight bind/segments lands, so the ring can never overtake
-/// the control channel.
-int worker_main(int fd, std::uint32_t worker_index,
-                WorkerRings* rings = nullptr);
+int worker_main(int fd, std::uint32_t worker_index, WorkerRings& rings);
 
 }  // namespace wnf::transport

@@ -109,7 +109,7 @@ TEST(Trace, SpansBalancePerThreadAcrossThreads) {
     threads.emplace_back([] {
       for (int i = 0; i < kSpansPerThread; ++i) {
         const ScopedSpan outer(TraceName::kExecute, std::uint64_t(i));
-        const ScopedSpan inner(TraceName::kWorkerDecode);
+        const ScopedSpan inner(TraceName::kWorkerExecute);
         instant(TraceName::kDeliver, std::uint64_t(i));
       }
     });
@@ -184,7 +184,7 @@ TEST(Trace, DisabledPathRecordsExactlyNothing) {
     async_end(TraceName::kRequest, std::uint64_t(i));
     instant(TraceName::kSigkill, std::uint64_t(i));
     counter(TraceName::kQueueDepth, std::uint64_t(i));
-    const ScopedSpan span(TraceName::kEncode);
+    const ScopedSpan span(TraceName::kTrialStream);
   }
   EXPECT_EQ(TraceLog::instance().total_events(), 0u);
   EXPECT_TRUE(TraceLog::instance().collect().empty());
@@ -914,7 +914,7 @@ TEST(Postmortem, ArtifactRoundTripsStrictLintWithEveryField) {
       {100, 9, 4, TraceName::kDispatch, EventKind::kInstant},
       {200, 10, 0, TraceName::kSigkill, EventKind::kInstant},
   };
-  record.counter_deltas = {{"transport.batch_frames", 12}};
+  record.counter_deltas = {{"transport.ring_slots_written", 12}};
 
   const std::string path = writer.write(record);
   ASSERT_FALSE(path.empty());
@@ -936,7 +936,7 @@ TEST(Postmortem, ArtifactRoundTripsStrictLintWithEveryField) {
   EXPECT_NE(text.find("\"deployment\":2"), std::string::npos);
   EXPECT_NE(text.find("\"inflight_ids\":[17,18,21]"), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"sigkill\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\":\"transport.batch_frames\",\"delta\":12"),
+  EXPECT_NE(text.find("\"name\":\"transport.ring_slots_written\",\"delta\":12"),
             std::string::npos);
   std::remove(path.c_str());
 }

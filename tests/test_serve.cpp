@@ -450,9 +450,7 @@ TEST(Serve, ReportAggregatesThroughputPercentilesAndResets) {
   EXPECT_EQ(report.shed, 0u);
   EXPECT_EQ(report.resubmitted, 0u);
   EXPECT_EQ(report.worker_restarts, 0u);
-  // Likewise the wire counters: an in-process pool sends no batch frames
-  // and is never rebound.
-  EXPECT_EQ(report.batch_frames, 0u);
+  // Likewise an in-process pool is never rebound.
   EXPECT_EQ(report.rebinds, 0u);
 }
 

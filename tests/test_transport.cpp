@@ -1,9 +1,11 @@
-// Transport-subsystem tests: the wire codec (round-trips and malformed-
-// input rejection), the multi-process WorkerHost against the in-process
-// ReplicaPool (bit-identity across 1/2/8 worker processes, with and
-// without real SIGKILLed workers), and the TransportBackend behind the
-// EvalBackend seam (bit-equivalence with ServeBackend and — at campaign
-// scale, transmitted-value convention — with SimulatorBackend).
+// Transport-subsystem tests: the control-frame codec (round-trips,
+// malformed-input rejection, seeded mutation fuzzing), the multi-process
+// WorkerHost and its shared-memory rings against the in-process
+// ReplicaPool (bit-identity across 1/2/8 worker processes and ring
+// shapes, with and without real SIGKILLed workers), and the
+// TransportBackend behind the EvalBackend seam (bit-equivalence with
+// ServeBackend and — at campaign scale, transmitted-value convention —
+// with SimulatorBackend).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +14,9 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -44,12 +48,27 @@ nn::FeedForwardNetwork transport_net(std::uint64_t seed = 3) {
       .build(rng);
 }
 
+/// The 3-input test net, or a wider one whose probes span
+/// request_slots(width) ring slots.
+nn::FeedForwardNetwork net_of_width(std::size_t width) {
+  if (width == 3) return transport_net(13);
+  Rng rng(5);
+  return nn::NetworkBuilder(width)
+      .activation(nn::ActivationKind::kSigmoid, 1.0)
+      .hidden(6)
+      .hidden(4)
+      .init(nn::InitKind::kUniform, 0.3)
+      .build(rng);
+}
+
 std::vector<std::vector<double>> transport_workload(std::size_t count,
-                                                    std::uint64_t seed = 7) {
+                                                    std::uint64_t seed = 7,
+                                                    std::size_t width = 3) {
   Rng rng(seed);
   std::vector<std::vector<double>> workload(count);
   for (auto& x : workload) {
-    x = {rng.uniform(), rng.uniform(), rng.uniform()};
+    x.resize(width);
+    for (double& v : x) v = rng.uniform();
   }
   return workload;
 }
@@ -74,24 +93,63 @@ fault::FaultPlan sample_plan() {
     GTEST_SKIP() << "no POSIX fork/socketpair on this platform";   \
   }
 
+/// The determinism contract's reference (host.hpp): the in-process pool
+/// with the deployment's latency, cut and seed serves the same results at
+/// any replica or worker count.
+std::vector<serve::RequestResult> pool_reference(
+    const nn::FeedForwardNetwork& net, const TransportConfig& config,
+    const std::vector<std::vector<double>>& workload,
+    const serve::FaultTimeline* timeline = nullptr) {
+  serve::ServeConfig pool_config;
+  pool_config.replicas = 2;
+  pool_config.queue_capacity = std::max<std::size_t>(1, workload.size());
+  pool_config.sim = config.sim;
+  pool_config.latency = config.latency;
+  pool_config.straggler_cut = config.straggler_cut;
+  pool_config.seed = config.seed;
+  serve::ReplicaPool pool(net, pool_config);
+  if (timeline != nullptr) pool.set_timeline(*timeline);
+  EXPECT_EQ(pool.submit_batch(workload), workload.size());
+  return pool.drain();
+}
+
+// Serves `workload` through a WorkerHost built from `config` and returns
+// the drained results.
+std::vector<serve::RequestResult> serve_through(
+    const nn::FeedForwardNetwork& net, const TransportConfig& config,
+    const std::vector<std::vector<double>>& workload,
+    const serve::FaultTimeline* timeline = nullptr) {
+  WorkerHost host(net, config);
+  if (timeline != nullptr) host.set_timeline(*timeline);
+  EXPECT_EQ(host.submit_batch(workload), workload.size());
+  return host.drain();
+}
+
+void expect_bit_identical(const std::vector<serve::RequestResult>& got,
+                          const std::vector<serve::RequestResult>& want,
+                          const char* label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << label << " request " << i;
+    EXPECT_DOUBLE_EQ(got[i].output, want[i].output)
+        << label << " request " << i;
+    EXPECT_DOUBLE_EQ(got[i].completion_time, want[i].completion_time)
+        << label << " request " << i;
+    EXPECT_EQ(got[i].resets_sent, want[i].resets_sent)
+        << label << " request " << i;
+  }
+}
+
 // ------------------------------------------------------------------ codec
 
 TEST(Codec, FramesRoundTripEveryMessageType) {
   HelloMsg hello{4, 1234};
-  RequestMsg request;
-  request.id = 77;
-  request.segment = 3;
-  request.rng_state = {1, 2, 0xdeadbeefULL, ~std::uint64_t{0}};
-  request.x = {0.25, -0.0, 3e-308};
-  ResultMsg result{42, 0.125, 17.5, 9};
   SegmentsMsg segments;
   segments.plans = {fault::FaultPlan{}, sample_plan()};
 
   std::vector<std::uint8_t> stream;
   for (const auto& frame :
        {Codec::encode(MessageType::kHello, Codec::encode_hello(hello)),
-        Codec::encode(MessageType::kRequest, Codec::encode_request(request)),
-        Codec::encode(MessageType::kResult, Codec::encode_result(result)),
         Codec::encode(MessageType::kSegments,
                       Codec::encode_segments(segments)),
         Codec::encode(MessageType::kShutdown, {})}) {
@@ -105,28 +163,6 @@ TEST(Codec, FramesRoundTripEveryMessageType) {
   ASSERT_TRUE(hello_out.has_value());
   EXPECT_EQ(hello_out->worker_index, 4u);
   EXPECT_EQ(hello_out->pid, 1234u);
-
-  ASSERT_EQ(Codec::try_parse(stream, frame), ParseStatus::kFrame);
-  ASSERT_EQ(frame.type, MessageType::kRequest);
-  const auto request_out = Codec::decode_request(frame.payload);
-  ASSERT_TRUE(request_out.has_value());
-  EXPECT_EQ(request_out->id, 77u);
-  EXPECT_EQ(request_out->segment, 3u);
-  EXPECT_EQ(request_out->rng_state, request.rng_state);
-  ASSERT_EQ(request_out->x.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(request_out->x[i]),
-              std::bit_cast<std::uint64_t>(request.x[i]));
-  }
-
-  ASSERT_EQ(Codec::try_parse(stream, frame), ParseStatus::kFrame);
-  ASSERT_EQ(frame.type, MessageType::kResult);
-  const auto result_out = Codec::decode_result(frame.payload);
-  ASSERT_TRUE(result_out.has_value());
-  EXPECT_EQ(result_out->id, 42u);
-  EXPECT_EQ(result_out->output, 0.125);
-  EXPECT_EQ(result_out->completion_time, 17.5);
-  EXPECT_EQ(result_out->resets_sent, 9u);
 
   ASSERT_EQ(Codec::try_parse(stream, frame), ParseStatus::kFrame);
   ASSERT_EQ(frame.type, MessageType::kSegments);
@@ -232,39 +268,35 @@ TEST(Codec, MalformedFramesAreRejectedNotInterpreted) {
 
   // Structurally invalid payloads: truncated vector, trailing garbage,
   // out-of-range enum, element count that cannot fit the payload.
-  RequestMsg request;
-  request.x = {1.0, 2.0};
-  auto payload = Codec::encode_request(request);
+  const auto payload = Codec::encode_segments({{sample_plan()}});
   auto truncated = payload;
   truncated.pop_back();
-  EXPECT_FALSE(Codec::decode_request(truncated).has_value());
+  EXPECT_FALSE(Codec::decode_segments(truncated).has_value());
   auto overlong = payload;
   overlong.push_back(0);
-  EXPECT_FALSE(Codec::decode_request(overlong).has_value());
+  EXPECT_FALSE(Codec::decode_segments(overlong).has_value());
   auto lying_count = payload;
-  lying_count[8 + 4 + 32] = 0xff;  // x-count field low byte
-  EXPECT_FALSE(Codec::decode_request(lying_count).has_value());
-
-  auto plan_payload = Codec::encode_segments({{sample_plan()}});
-  auto bad_kind = plan_payload;
+  lying_count[4 + 1] = 0xff;  // first plan's neuron-count low byte
+  EXPECT_FALSE(Codec::decode_segments(lying_count).has_value());
+  auto bad_kind = payload;
   bad_kind[4 + 1 + 4 + 4 + 4] = 0x7f;  // first neuron's kind byte
   EXPECT_FALSE(Codec::decode_segments(bad_kind).has_value());
 
   EXPECT_FALSE(Codec::decode_bind({0x01}).has_value());
   EXPECT_FALSE(Codec::decode_hello({}).has_value());
-  EXPECT_FALSE(Codec::decode_result({1, 2, 3}).has_value());
+  EXPECT_FALSE(Codec::decode_telemetry({1, 2, 3}).has_value());
 }
 
 TEST(Codec, CrossVersionFramesAreRejectedDistinctly) {
   // A structurally sound frame from another protocol version — older (a
-  // v3 peer's frame reaching this v4 parser) or newer (a v5 frame from
+  // v4 peer's frame reaching this v5 parser) or newer (a v6 frame from
   // some future peer) — is a version mismatch, not corruption. The
   // distinct status is the whole point: "incompatible peer" and "garbage
   // stream" demand different operator responses.
-  ASSERT_EQ(kProtocolVersion, 4u);
+  ASSERT_EQ(kProtocolVersion, 5u);
   const auto good =
       Codec::encode(MessageType::kHello, Codec::encode_hello({1, 2}));
-  for (const std::uint16_t version : {std::uint16_t{3}, std::uint16_t{5}}) {
+  for (const std::uint16_t version : {std::uint16_t{4}, std::uint16_t{6}}) {
     auto foreign = good;
     foreign[4] = static_cast<std::uint8_t>(version);  // LE u16 low byte
     foreign[5] = 0;
@@ -332,60 +364,6 @@ TEST(Codec, TelemetryFramesRoundTrip) {
   EXPECT_FALSE(Codec::decode_telemetry(bad_kind).has_value());
 }
 
-TEST(Codec, BatchFramesRoundTrip) {
-  BatchRequestMsg batch;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    RequestMsg probe;
-    probe.id = 100 + i;
-    probe.segment = static_cast<std::uint32_t>(i % 3);
-    probe.rng_state = {i, ~i, 0x5eedULL + i, i * i};
-    probe.x = {0.5 * static_cast<double>(i), -0.0, 1e-300};
-    batch.probes.push_back(probe);
-  }
-  auto stream = Codec::encode(MessageType::kBatchRequest,
-                              Codec::encode_batch_request(batch));
-  Frame frame;
-  ASSERT_EQ(Codec::try_parse(stream, frame), ParseStatus::kFrame);
-  ASSERT_EQ(frame.type, MessageType::kBatchRequest);
-  const auto out = Codec::decode_batch_request(frame.payload);
-  ASSERT_TRUE(out.has_value());
-  ASSERT_EQ(out->probes.size(), batch.probes.size());
-  for (std::size_t i = 0; i < batch.probes.size(); ++i) {
-    EXPECT_EQ(out->probes[i].id, batch.probes[i].id);
-    EXPECT_EQ(out->probes[i].segment, batch.probes[i].segment);
-    EXPECT_EQ(out->probes[i].rng_state, batch.probes[i].rng_state);
-    ASSERT_EQ(out->probes[i].x.size(), batch.probes[i].x.size());
-    for (std::size_t j = 0; j < batch.probes[i].x.size(); ++j) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(out->probes[i].x[j]),
-                std::bit_cast<std::uint64_t>(batch.probes[i].x[j]));
-    }
-  }
-
-  BatchResultMsg results;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    results.results.push_back({100 + i, ProbeStatus::kOk,
-                               0.25 * static_cast<double>(i),
-                               10.0 + static_cast<double>(i), i});
-  }
-  results.results[3].status = ProbeStatus::kFailed;  // the byte round-trips
-  auto result_stream = Codec::encode(MessageType::kBatchResult,
-                                     Codec::encode_batch_result(results));
-  ASSERT_EQ(Codec::try_parse(result_stream, frame), ParseStatus::kFrame);
-  ASSERT_EQ(frame.type, MessageType::kBatchResult);
-  const auto result_out = Codec::decode_batch_result(frame.payload);
-  ASSERT_TRUE(result_out.has_value());
-  ASSERT_EQ(result_out->results.size(), results.results.size());
-  for (std::size_t i = 0; i < results.results.size(); ++i) {
-    EXPECT_EQ(result_out->results[i].id, results.results[i].id);
-    EXPECT_EQ(result_out->results[i].status, results.results[i].status);
-    EXPECT_EQ(result_out->results[i].output, results.results[i].output);
-    EXPECT_EQ(result_out->results[i].completion_time,
-              results.results[i].completion_time);
-    EXPECT_EQ(result_out->results[i].resets_sent,
-              results.results[i].resets_sent);
-  }
-}
-
 TEST(Codec, RebindRoundTripsBindAndSegments) {
   const auto net = transport_net(23);
   RebindMsg rebind;
@@ -414,64 +392,7 @@ TEST(Codec, RebindRoundTripsBindAndSegments) {
             sample_plan().neurons.size());
 }
 
-TEST(Codec, MalformedBatchAndRebindFramesAreRejected) {
-  // --- BatchRequest ---
-  BatchRequestMsg batch;
-  RequestMsg probe;
-  probe.id = 7;
-  probe.x = {1.0, 2.0};
-  batch.probes = {probe, probe};
-  const auto payload = Codec::encode_batch_request(batch);
-
-  // An empty batch is structurally meaningless.
-  std::vector<std::uint8_t> zero_count{0, 0, 0, 0};
-  EXPECT_FALSE(Codec::decode_batch_request(zero_count).has_value());
-
-  // A lying probe count must fail the bounds check before any allocation.
-  auto lying = payload;
-  lying[0] = 0xff;
-  lying[1] = 0xff;
-  EXPECT_FALSE(Codec::decode_batch_request(lying).has_value());
-
-  // Truncated per-probe payload: every cut inside the second probe fails.
-  for (std::size_t keep = 4 + 1; keep < payload.size(); keep += 7) {
-    std::vector<std::uint8_t> cut(payload.begin(),
-                                  payload.begin() + static_cast<long>(keep));
-    EXPECT_FALSE(Codec::decode_batch_request(cut).has_value())
-        << keep << " bytes kept";
-  }
-
-  // Trailing garbage after the declared probes.
-  auto overlong = payload;
-  overlong.push_back(0);
-  EXPECT_FALSE(Codec::decode_batch_request(overlong).has_value());
-
-  // --- BatchResult ---
-  BatchResultMsg results;
-  results.results = {{1, ProbeStatus::kOk, 0.5, 1.0, 0},
-                     {2, ProbeStatus::kOk, 0.25, 2.0, 1}};
-  const auto result_payload = Codec::encode_batch_result(results);
-
-  EXPECT_FALSE(Codec::decode_batch_result(zero_count).has_value());
-
-  auto lying_results = result_payload;
-  lying_results[0] = 0xff;
-  lying_results[1] = 0xff;
-  EXPECT_FALSE(Codec::decode_batch_result(lying_results).has_value());
-
-  auto bad_status = result_payload;
-  bad_status[4 + 8] = 0x7f;  // first entry's status byte
-  EXPECT_FALSE(Codec::decode_batch_result(bad_status).has_value());
-
-  auto truncated_result = result_payload;
-  truncated_result.pop_back();
-  EXPECT_FALSE(Codec::decode_batch_result(truncated_result).has_value());
-
-  auto overlong_result = result_payload;
-  overlong_result.push_back(0);
-  EXPECT_FALSE(Codec::decode_batch_result(overlong_result).has_value());
-
-  // --- Rebind ---
+TEST(Codec, MalformedRebindFramesAreRejected) {
   const auto net = transport_net(29);
   RebindMsg rebind;
   std::ostringstream text;
@@ -505,6 +426,162 @@ TEST(Codec, MalformedBatchAndRebindFramesAreRejected) {
   auto trailing = rebind_payload;
   trailing.push_back(0);
   EXPECT_FALSE(Codec::decode_rebind(trailing).has_value());
+}
+
+/// Decodes `payload` as a `type` frame and re-encodes what the decoder
+/// accepted; nullopt when it rejects (Shutdown has no payload codec).
+std::optional<std::vector<std::uint8_t>> reencode(
+    MessageType type, const std::vector<std::uint8_t>& payload) {
+  switch (type) {
+    case MessageType::kHello:
+      if (const auto msg = Codec::decode_hello(payload)) {
+        return Codec::encode_hello(*msg);
+      }
+      break;
+    case MessageType::kBind:
+      if (const auto msg = Codec::decode_bind(payload)) {
+        return Codec::encode_bind(*msg);
+      }
+      break;
+    case MessageType::kSegments:
+      if (const auto msg = Codec::decode_segments(payload)) {
+        return Codec::encode_segments(*msg);
+      }
+      break;
+    case MessageType::kRebind:
+      if (const auto msg = Codec::decode_rebind(payload)) {
+        return Codec::encode_rebind(*msg);
+      }
+      break;
+    case MessageType::kTelemetry:
+      if (const auto msg = Codec::decode_telemetry(payload)) {
+        return Codec::encode_telemetry(*msg);
+      }
+      break;
+    case MessageType::kShutdown:
+      break;
+  }
+  return std::nullopt;
+}
+
+TEST(Codec, SeededMutationsOfControlFramesNeverAbortAndReencodeExactly) {
+  // Golden frames of every v5 control type, mutated from a seeded Rng:
+  // bit flips, truncations, length-field lies, and splices between two
+  // valid frames. Each mutant goes through try_parse as received and,
+  // re-framed with an honest size and checksum, through the decoder of
+  // its golden type. Nothing may abort, and every accepted frame or
+  // payload must re-encode to exactly the bytes it was decoded from.
+  const auto net = transport_net(19);
+  std::ostringstream text;
+  nn::save_network(net, text);
+  RebindMsg rebind;
+  rebind.bind.network_text = text.str();
+  rebind.bind.latency = heavy_tail();
+  rebind.bind.wait_counts = {3, 7, 5, 1};
+  rebind.segments.plans = {fault::FaultPlan{}, sample_plan()};
+  TelemetryMsg telemetry;
+  telemetry.tid = 1;
+  telemetry.dropped = 2;
+  telemetry.events = {{100, 7, 1, obs::TraceName::kWorkerExecute,
+                       obs::EventKind::kSpanBegin},
+                      {250, 7, 1, obs::TraceName::kWorkerExecute,
+                       obs::EventKind::kSpanEnd}};
+  const std::vector<std::pair<MessageType, std::vector<std::uint8_t>>>
+      golden = {
+          {MessageType::kHello, Codec::encode_hello({2, 4242, 123456789})},
+          {MessageType::kBind, Codec::encode_bind(rebind.bind)},
+          {MessageType::kSegments, Codec::encode_segments(rebind.segments)},
+          {MessageType::kRebind, Codec::encode_rebind(rebind)},
+          {MessageType::kTelemetry, Codec::encode_telemetry(telemetry)},
+          {MessageType::kShutdown, {}},
+      };
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (const auto& [type, payload] : golden) {
+    EXPECT_EQ(reencode(type, payload).value_or(payload), payload);
+    frames.push_back(Codec::encode(type, payload));
+  }
+
+  // The retired probe frames are not v5 frames, however well formed.
+  for (const std::uint8_t retired : {4, 5, 7, 8}) {
+    auto bytes = frames.front();
+    bytes[6] = retired;  // LE u16 type
+    Frame frame;
+    EXPECT_EQ(Codec::try_parse(bytes, frame), ParseStatus::kMalformed)
+        << "type " << int{retired};
+  }
+
+  Rng rng(0xf022);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (std::size_t round = 0; round < 4000; ++round) {
+    const std::size_t which = rng.uniform_index(frames.size());
+    const MessageType type = golden[which].first;
+    std::vector<std::uint8_t> mutant = frames[which];
+    switch (round % 4) {
+      case 0:  // bit flips
+        for (std::size_t f = 0, n = 1 + rng.uniform_index(4); f < n; ++f) {
+          mutant[rng.uniform_index(mutant.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.uniform_index(8));
+        }
+        break;
+      case 1:  // truncation
+        mutant.resize(rng.uniform_index(mutant.size()));
+        break;
+      case 2: {  // a length field lies: the header's, or one in the payload
+        const std::size_t at =
+            rng.bernoulli(0.3)
+                ? 8
+                : kFrameHeaderSize +
+                      rng.uniform_index(mutant.size() - kFrameHeaderSize + 1);
+        const std::uint32_t lie = rng.bernoulli(0.5)
+                                      ? static_cast<std::uint32_t>(
+                                            rng.uniform_index(64))
+                                      : static_cast<std::uint32_t>(rng());
+        for (std::size_t b = 0; b < 4 && at + b < mutant.size(); ++b) {
+          mutant[at + b] = static_cast<std::uint8_t>(lie >> (8 * b));
+        }
+        break;
+      }
+      default: {  // splice: a prefix of this frame, a suffix of another
+        const auto& other = frames[rng.uniform_index(frames.size())];
+        mutant.resize(rng.uniform_index(mutant.size() + 1));
+        mutant.insert(mutant.end(),
+                      other.begin() + static_cast<long>(
+                                          rng.uniform_index(other.size() + 1)),
+                      other.end());
+        break;
+      }
+    }
+
+    // As received: a mutant that still frames is a valid frame, so it
+    // re-encodes to the bytes it was parsed from.
+    std::vector<std::uint8_t> stream = mutant;
+    Frame frame;
+    if (Codec::try_parse(stream, frame) == ParseStatus::kFrame) {
+      const std::vector<std::uint8_t> consumed(
+          mutant.begin(),
+          mutant.begin() + static_cast<long>(mutant.size() - stream.size()));
+      EXPECT_EQ(Codec::encode(frame.type, frame.payload), consumed);
+      if (const auto again = reencode(frame.type, frame.payload)) {
+        EXPECT_EQ(*again, frame.payload);
+      }
+    }
+    // Re-framed honestly: the mutated payload reaches its decoder.
+    std::vector<std::uint8_t> honest = Codec::encode(
+        type, {mutant.begin() + static_cast<long>(std::min(
+                                    mutant.size(), kFrameHeaderSize)),
+               mutant.end()});
+    ASSERT_EQ(Codec::try_parse(honest, frame), ParseStatus::kFrame);
+    if (const auto again = reencode(type, frame.payload)) {
+      EXPECT_EQ(*again, frame.payload) << "round " << round;
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
+  // The corpus exercised both verdicts.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ------------------------------------------------------------- WorkerHost
@@ -773,114 +850,17 @@ TEST(WorkerHost, AsyncPollWaitSurvivesSigkillMidReplay) {
   const auto report = host.report();
   EXPECT_EQ(report.worker_restarts, 1u);
   // How many probes the kill orphaned is wall-timing-dependent, but never
-  // more than the victim's pipeline window.
-  EXPECT_LE(report.resubmitted, config.pipeline_depth * config.batch);
+  // more than the victim's window.
+  EXPECT_LE(report.resubmitted, config.window);
   EXPECT_EQ(host.alive_workers(), 2u);
 }
 
-TEST(WorkerHost, WorkersCoalesceBatchResultFramesUnderPipelinePressure) {
+TEST(WorkerHost, WindowSweepIsBitIdenticalToReplicaPool) {
   SKIP_WITHOUT_TRANSPORT();
-  // Protocol v3's relaxed framing, observed end to end: at batch = 1 with
-  // a deep pipeline, one flush lands several request frames in a worker's
-  // socket at once, and the worker answers them with fewer combined
-  // BatchResult frames — visible as result_frames < batch_frames — while
-  // the results stay bit-identical to the in-process pool.
-  const auto net = transport_net(13);
-  const auto workload = transport_workload(24, 21);
-
-  serve::ServeConfig pool_config;
-  pool_config.replicas = 1;
-  pool_config.latency = heavy_tail();
-  pool_config.seed = 31;
-  serve::ReplicaPool pool(net, pool_config);
-  ASSERT_EQ(pool.submit_batch(workload), workload.size());
-  const auto expected = pool.drain();
-
-  TransportConfig config;
-  config.workers = 1;
-  config.batch = 1;
-  config.pipeline_depth = 8;
-  config.latency = heavy_tail();
-  config.seed = 31;
-  // Frame-coalescing is a socket-path behaviour; rings carry no frames.
-  config.use_rings = false;
-  WorkerHost host(net, config);
-  ASSERT_EQ(host.submit_batch(workload), workload.size());
-  const auto served = host.drain();
-
-  ASSERT_EQ(served.size(), expected.size());
-  for (std::size_t i = 0; i < served.size(); ++i) {
-    EXPECT_DOUBLE_EQ(served[i].output, expected[i].output);
-    EXPECT_DOUBLE_EQ(served[i].completion_time, expected[i].completion_time);
-  }
-  const auto report = host.report();
-  // batch = 1 pins one probe per request frame; the eight frames each
-  // flush delivers come back coalesced, so strictly fewer result frames.
-  EXPECT_EQ(report.batch_frames, workload.size());
-  EXPECT_GT(report.result_frames, 0u);
-  EXPECT_LT(report.result_frames, report.batch_frames);
-  EXPECT_EQ(host.result_frames(), report.result_frames);
-}
-
-TEST(WorkerHost, AdaptiveBatchRampsFrameSizesAndStaysBitIdentical) {
-  SKIP_WITHOUT_TRANSPORT();
-  // The variable-batch dispatcher: frames ramp 1, 2, 4, ... toward the
-  // configured batch while the pipeline stays busy, the chosen sizes are
-  // exposed in the report, and — batching being a wire knob, never a
-  // semantics knob — results are bit-identical to fixed-size batching.
-  const auto net = transport_net(13);
-  const auto workload = transport_workload(96, 21);
-
-  TransportConfig config;
-  config.workers = 2;
-  config.batch = 8;
-  config.pipeline_depth = 4;
-  config.latency = heavy_tail();
-  config.seed = 77;
-  // The ramp is observed through frame counters — pin the socket path.
-  config.use_rings = false;
-
-  config.adaptive_batch = false;
-  std::vector<serve::RequestResult> expected;
-  std::size_t fixed_frames = 0;
-  {
-    WorkerHost fixed(net, config);
-    ASSERT_EQ(fixed.submit_batch(workload), workload.size());
-    expected = fixed.drain();
-    const auto report = fixed.report();
-    fixed_frames = report.batch_frames;
-    // Fixed batching never ramps: every frame carries `batch` probes
-    // except possibly a remainder tail.
-    EXPECT_EQ(report.batch_probes_max, config.batch);
-  }
-
-  config.adaptive_batch = true;
-  WorkerHost host(net, config);
-  ASSERT_EQ(host.submit_batch(workload), workload.size());
-  const auto served = host.drain();
-
-  ASSERT_EQ(served.size(), expected.size());
-  for (std::size_t i = 0; i < served.size(); ++i) {
-    EXPECT_EQ(served[i].id, expected[i].id);
-    EXPECT_DOUBLE_EQ(served[i].output, expected[i].output);
-    EXPECT_DOUBLE_EQ(served[i].completion_time, expected[i].completion_time);
-    EXPECT_EQ(served[i].resets_sent, expected[i].resets_sent);
-  }
-  const auto report = host.report();
-  // The ramp started at one probe, reached the configured cap under
-  // saturation, and spent more frames doing it than fixed batching.
-  EXPECT_EQ(report.batch_probes_min, 1u);
-  EXPECT_EQ(report.batch_probes_max, config.batch);
-  EXPECT_GE(report.batch_frames, fixed_frames);
-}
-
-TEST(WorkerHost, BatchSizeSweepIsBitIdenticalToReplicaPool) {
-  SKIP_WITHOUT_TRANSPORT();
-  // Batching is a wire-amortisation knob, not a semantics knob: the same
-  // deployment at 1, 8, and 64 probes per frame serves outputs,
-  // completion times, and reset counts bit-identical to the in-process
-  // pool, while the batch_frames counter shows the syscall amortisation
-  // actually happened.
+  // The window is a pipelining knob, not a semantics knob: the same
+  // deployment at 4, 32, and 256 in-flight probes per worker serves
+  // outputs, completion times, and reset counts bit-identical to the
+  // in-process pool.
   const auto net = transport_net(13);
   const auto workload = transport_workload(96, 43);
 
@@ -889,64 +869,34 @@ TEST(WorkerHost, BatchSizeSweepIsBitIdenticalToReplicaPool) {
   crash.neurons = {{1, 1, fault::NeuronFaultKind::kCrash, 0.0}};
   timeline.add(20, 70, crash);
 
-  serve::ServeConfig pool_config;
-  pool_config.replicas = 2;
-  pool_config.latency = heavy_tail();
-  pool_config.straggler_cut = {2, 1};
-  pool_config.seed = 123;
-  serve::ReplicaPool pool(net, pool_config);
-  pool.set_timeline(timeline);
-  ASSERT_EQ(pool.submit_batch(workload), workload.size());
-  const auto expected = pool.drain();
-
-  for (const std::size_t batch : {1u, 8u, 64u}) {
-    TransportConfig config;
-    config.workers = 2;
-    config.batch = batch;
-    config.latency = heavy_tail();
-    config.straggler_cut = {2, 1};
-    config.seed = 123;
-    // The sweep asserts frame-amortisation counters — pin the socket path
-    // (RingPathBitIdentity covers the same sweep over the rings).
-    config.use_rings = false;
+  TransportConfig config;
+  config.workers = 2;
+  config.latency = heavy_tail();
+  config.straggler_cut = {2, 1};
+  config.seed = 123;
+  const auto expected = pool_reference(net, config, workload, &timeline);
+  for (const std::size_t window : {4u, 32u, 256u}) {
+    config.window = window;
     WorkerHost host(net, config);
     host.set_timeline(timeline);
     ASSERT_EQ(host.submit_batch(workload), workload.size());
-    const auto served = host.drain();
-
-    ASSERT_EQ(served.size(), expected.size()) << "batch " << batch;
-    for (std::size_t i = 0; i < served.size(); ++i) {
-      EXPECT_EQ(served[i].id, expected[i].id);
-      EXPECT_DOUBLE_EQ(served[i].output, expected[i].output)
-          << "request " << i << " at batch " << batch;
-      EXPECT_DOUBLE_EQ(served[i].completion_time,
-                       expected[i].completion_time);
-      EXPECT_EQ(served[i].resets_sent, expected[i].resets_sent);
-    }
-    const auto report = host.report();
-    EXPECT_EQ(report.completed, workload.size());
-    // Amortisation: every frame but the stragglers carries `batch` probes.
-    EXPECT_GE(report.batch_frames, (workload.size() + batch - 1) / batch);
-    EXPECT_LE(report.batch_frames, workload.size());
-    if (batch >= workload.size()) {
-      EXPECT_LE(report.batch_frames, 2u * 2u);  // at most one per pipeline
-    }
+    expect_bit_identical(host.drain(), expected, "window sweep");
+    EXPECT_EQ(host.report().completed, workload.size()) << window;
   }
 }
 
 TEST(WorkerHost, SigkillMidBatchResubmitsOnlyUnacknowledgedProbes) {
   SKIP_WITHOUT_TRANSPORT();
-  // A worker dies with batches in flight. Per-probe acknowledgement means
-  // the host resubmits at most the probes of unanswered batches — bounded
-  // by pipeline_depth * batch — and the drain still completes
-  // bit-identical to an undisturbed deployment.
+  // A worker dies with a window of probes in flight. Per-probe
+  // acknowledgement means the host resubmits at most the unanswered probes
+  // — bounded by the window — and the drain still completes bit-identical
+  // to an undisturbed deployment.
   const auto net = transport_net(13);
   const auto workload = transport_workload(80, 51);
 
   TransportConfig config;
   config.workers = 2;
-  config.batch = 8;
-  config.pipeline_depth = 2;
+  config.window = 16;
   config.latency = heavy_tail();
   config.seed = 77;
   std::vector<serve::RequestResult> reference;
@@ -958,7 +908,7 @@ TEST(WorkerHost, SigkillMidBatchResubmitsOnlyUnacknowledgedProbes) {
 
   WorkerHost host(net, config);
   // The kill fires when the dispatch frontier reaches id 24 — mid-stream,
-  // with up to two 8-probe batches unacknowledged on the victim.
+  // with up to a window of probes unacknowledged on the victim.
   host.set_crash_script({{0, 24, 60}});
   ASSERT_EQ(host.submit_batch(workload), workload.size());
   const auto served = host.drain();
@@ -972,9 +922,9 @@ TEST(WorkerHost, SigkillMidBatchResubmitsOnlyUnacknowledgedProbes) {
   const auto report = host.report();
   EXPECT_EQ(report.completed, workload.size());
   EXPECT_EQ(report.worker_restarts, 1u);
-  // Only the victim's unacknowledged batches were lost, never more than
-  // its pipeline could hold.
-  EXPECT_LE(report.resubmitted, config.pipeline_depth * config.batch);
+  // Only the victim's unacknowledged probes were lost, never more than
+  // its window could hold.
+  EXPECT_LE(report.resubmitted, config.window);
 }
 
 // -------------------------------------------------- persistent worker fleet
@@ -1127,84 +1077,57 @@ TEST(WorkerHostDeathTest, ServingAnUnboundFleetIsAContractViolation) {
   EXPECT_DEATH((void)fleet.submit({0.1, 0.2, 0.3}), "precondition");
 }
 
+TEST(WorkerHostDeathTest, ProbesWiderThanTheRingAbortAtBindAndRebind) {
+  SKIP_WITHOUT_TRANSPORT();
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // 130 inputs span three request slots; a two-slot ring could never
+  // hold one such probe, so the deployment is refused up front — at
+  // construction and at rebind — instead of stalling at first dispatch.
+  const auto wide = net_of_width(130);
+  ASSERT_EQ(request_slots(wide.input_dim()), 3u);
+  TransportConfig config;
+  config.workers = 1;
+  config.ring_capacity = 2;
+  EXPECT_DEATH({ WorkerHost host(wide, config); }, "precondition");
+  const auto narrow = transport_net();
+  WorkerHost host(narrow, config);
+  EXPECT_DEATH(host.rebind(wide), "precondition");
+}
+
 // ------------------------------------------------- shared-memory rings
 
-// Serves `workload` through a WorkerHost built from `config` and returns
-// the drained results (plus the host's report through `report`).
-std::vector<serve::RequestResult> serve_through(
-    const nn::FeedForwardNetwork& net, const TransportConfig& config,
-    const std::vector<std::vector<double>>& workload,
-    const serve::FaultTimeline* timeline = nullptr) {
-  WorkerHost host(net, config);
-  if (timeline != nullptr) host.set_timeline(*timeline);
-  EXPECT_EQ(host.submit_batch(workload), workload.size());
-  return host.drain();
-}
-
-void expect_bit_identical(const std::vector<serve::RequestResult>& got,
-                          const std::vector<serve::RequestResult>& want,
-                          const char* label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, want[i].id) << label << " request " << i;
-    EXPECT_DOUBLE_EQ(got[i].output, want[i].output)
-        << label << " request " << i;
-    EXPECT_DOUBLE_EQ(got[i].completion_time, want[i].completion_time)
-        << label << " request " << i;
-    EXPECT_EQ(got[i].resets_sent, want[i].resets_sent)
-        << label << " request " << i;
-  }
-}
-
-TEST(WorkerHostRings, RingPathBitIdenticalToSocketPathAcrossWorkerCounts) {
+TEST(WorkerHostRings, RingPathBitIdenticalToReplicaPoolAcrossWorkerCounts) {
   SKIP_WITHOUT_TRANSPORT();
-  // The tentpole contract: the zero-copy ring hot path serves outputs,
-  // completion times, and reset counts bit-identical to the framed socket
-  // path — and to the in-process pool — at 1, 2, and 8 workers, under a
-  // mid-stream fault timeline and a straggler cut.
-  const auto net = transport_net(13);
-  const auto workload = transport_workload(96, 43);
-
+  // The ring probe plane serves outputs, completion times, and reset
+  // counts bit-identical to the in-process pool at 1, 2, and 8 workers,
+  // under a mid-stream fault timeline and a straggler cut — for probes
+  // that fit one slot and for wide ones spanning consecutive slots (65
+  // inputs take two, 130 take three).
   serve::FaultTimeline timeline;
   fault::FaultPlan crash;
   crash.neurons = {{1, 1, fault::NeuronFaultKind::kCrash, 0.0}};
   timeline.add(20, 70, crash);
-
-  serve::ServeConfig pool_config;
-  pool_config.replicas = 2;
-  pool_config.latency = heavy_tail();
-  pool_config.straggler_cut = {2, 1};
-  pool_config.seed = 123;
-  serve::ReplicaPool pool(net, pool_config);
-  pool.set_timeline(timeline);
-  ASSERT_EQ(pool.submit_batch(workload), workload.size());
-  const auto expected = pool.drain();
-
-  for (const std::size_t workers : {1u, 2u, 8u}) {
+  ASSERT_EQ(request_slots(65), 2u);
+  ASSERT_EQ(request_slots(130), 3u);
+  for (const std::size_t width : {3u, 65u, 130u}) {
+    const auto net = net_of_width(width);
+    const auto workload = transport_workload(96, 43, width);
     TransportConfig config;
-    config.workers = workers;
     config.latency = heavy_tail();
     config.straggler_cut = {2, 1};
     config.seed = 123;
-
-    config.use_rings = true;
-    WorkerHost ring_host(net, config);
-    if (!ring_host.rings_active()) {
-      GTEST_SKIP() << "shared-memory rings unavailable on this platform";
+    const auto expected = pool_reference(net, config, workload, &timeline);
+    for (const std::size_t workers : {1u, 2u, 8u}) {
+      config.workers = workers;
+      WorkerHost host(net, config);
+      host.set_timeline(timeline);
+      ASSERT_EQ(host.submit_batch(workload), workload.size());
+      expect_bit_identical(host.drain(), expected, "rings vs pool");
+      EXPECT_EQ(host.ring_slots_written(),
+                workload.size() * request_slots(width))
+          << "width " << width << " workers " << workers;
+      EXPECT_EQ(host.report().completed, workload.size());
     }
-    ring_host.set_timeline(timeline);
-    ASSERT_EQ(ring_host.submit_batch(workload), workload.size());
-    const auto over_rings = ring_host.drain();
-    expect_bit_identical(over_rings, expected, "rings vs pool");
-    // Every probe rode a ring slot; the socket carried no data frames.
-    EXPECT_EQ(ring_host.ring_slots_written(), workload.size())
-        << "workers " << workers;
-    EXPECT_EQ(ring_host.batch_frames(), 0u);
-    EXPECT_EQ(ring_host.report().completed, workload.size());
-
-    config.use_rings = false;
-    const auto over_socket = serve_through(net, config, workload, &timeline);
-    expect_bit_identical(over_socket, expected, "socket vs pool");
   }
 }
 
@@ -1214,42 +1137,32 @@ TEST(WorkerHostRings, SigkillMidSlotLeavesTornSlotThatIsRecovered) {
   // between begin_seq and commit_seq leaves a detectably torn slot. The
   // host counts the tear (transport.ring_torn_recovered), resubmits the
   // probe like any unacknowledged one, and the delivered stream stays
-  // bit-identical to the in-process pool — zero divergence.
-  const auto net = transport_net(13);
-  const auto workload = transport_workload(64, 21);
-
-  serve::ServeConfig pool_config;
-  pool_config.replicas = 2;
-  pool_config.latency = heavy_tail();
-  pool_config.seed = 7;
-  serve::ReplicaPool pool(net, pool_config);
-  ASSERT_EQ(pool.submit_batch(workload), workload.size());
-  const auto expected = pool.drain();
-
-  TransportConfig config;
-  config.workers = 2;
-  config.latency = heavy_tail();
-  config.seed = 7;
-  config.debug_tear_result_at = 10;  // tear mid-stream
-  WorkerHost host(net, config);
-  if (!host.rings_active()) {
-    GTEST_SKIP() << "shared-memory rings unavailable on this platform";
+  // bit-identical to the in-process pool — zero divergence, for a
+  // one-slot probe and for a three-slot wide one.
+  for (const std::size_t width : {3u, 130u}) {
+    const auto net = net_of_width(width);
+    const auto workload = transport_workload(64, 21, width);
+    TransportConfig config;
+    config.workers = 2;
+    config.latency = heavy_tail();
+    config.seed = 7;
+    const auto expected = pool_reference(net, config, workload);
+    config.debug_tear_result_at = 10;  // tear mid-stream
+    WorkerHost host(net, config);
+    ASSERT_EQ(host.submit_batch(workload), workload.size());
+    expect_bit_identical(host.drain(), expected, "torn-slot recovery");
+    EXPECT_EQ(host.ring_torn_recovered(), 1u) << "width " << width;
+    EXPECT_GE(host.resubmitted(), 1u);  // the torn probe re-ran elsewhere
+    EXPECT_GE(host.restarts(), 1u);     // the dead worker rejoined
+    EXPECT_EQ(host.report().completed, workload.size());
   }
-  ASSERT_EQ(host.submit_batch(workload), workload.size());
-  const auto served = host.drain();
-
-  expect_bit_identical(served, expected, "torn-slot recovery");
-  EXPECT_GE(host.ring_torn_recovered(), 1u);
-  EXPECT_GE(host.resubmitted(), 1u);  // the torn probe re-ran elsewhere
-  EXPECT_GE(host.restarts(), 1u);     // the dead worker rejoined
-  EXPECT_EQ(host.report().completed, workload.size());
 }
 
 TEST(WorkerHostRings, RebindOnRingsServesRepeatedCampaignsBitIdentically) {
   SKIP_WITHOUT_TRANSPORT();
-  // The persistent-fleet contract holds on the ring path: each rebind
-  // resets the rings' logical stream, and every campaign on the warm
-  // fleet is bit-identical to a fresh host — with zero extra forks.
+  // The persistent-fleet contract holds on the rings: each rebind resets
+  // the rings' logical stream, and every campaign on the warm fleet is
+  // bit-identical to a fresh host — with zero extra forks.
   const auto net = transport_net(11);
   const auto workload = transport_workload(48, 17);
 
@@ -1258,14 +1171,10 @@ TEST(WorkerHostRings, RebindOnRingsServesRepeatedCampaignsBitIdentically) {
   config.latency = heavy_tail();
   config.seed = 29;
   WorkerHost host(net, config);
-  if (!host.rings_active()) {
-    GTEST_SKIP() << "shared-memory rings unavailable on this platform";
-  }
   const auto expected = serve_through(net, config, workload);
 
   for (int campaign = 0; campaign < 3; ++campaign) {
     host.rebind(net);
-    ASSERT_TRUE(host.rings_active());
     ASSERT_EQ(host.submit_batch(workload), workload.size());
     const auto served = host.drain();
     expect_bit_identical(served, expected, "rebound campaign");
@@ -1276,110 +1185,44 @@ TEST(WorkerHostRings, RebindOnRingsServesRepeatedCampaignsBitIdentically) {
 
 TEST(WorkerHostRings, TinyRingCapacitiesWrapAroundBitIdentically) {
   SKIP_WITHOUT_TRANSPORT();
-  // Wraparound torture: at 2–4 slots per ring the cursors lap dozens of
+  // Wraparound torture: at a few slots per ring the cursors lap dozens of
   // times and both sides hit the full/empty park paths constantly; the
-  // seqlock commit words must keep every lap unambiguous.
-  const auto net = transport_net(13);
-  const auto workload = transport_workload(96, 43);
-
-  TransportConfig reference_config;
-  reference_config.workers = 2;
-  reference_config.latency = heavy_tail();
-  reference_config.seed = 123;
-  reference_config.use_rings = false;
-  const auto expected = serve_through(net, reference_config, workload);
-
-  for (const std::size_t capacity : {2u, 3u, 4u}) {
-    for (const std::size_t workers : {1u, 2u}) {
-      TransportConfig config;
-      config.workers = workers;
-      config.latency = heavy_tail();
-      config.seed = 123;
-      config.ring_capacity = capacity;
-      WorkerHost host(net, config);
-      if (!host.rings_active()) {
-        GTEST_SKIP() << "shared-memory rings unavailable on this platform";
+  // seqlock commit words must keep every lap unambiguous. The wide
+  // probes' capacities make probes straddle the wrap: two-slot probes in
+  // 3 or 5 slots, three-slot probes in 4 or 5 slots.
+  struct Shape {
+    std::size_t width;
+    std::vector<std::size_t> capacities;
+  };
+  for (const Shape& shape : {Shape{3, {2, 3, 4}}, Shape{65, {3, 5}},
+                             Shape{130, {4, 5}}}) {
+    const auto net = net_of_width(shape.width);
+    const auto workload = transport_workload(96, 43, shape.width);
+    TransportConfig config;
+    config.latency = heavy_tail();
+    config.seed = 123;
+    const auto expected = pool_reference(net, config, workload);
+    for (const std::size_t capacity : shape.capacities) {
+      for (const std::size_t workers : {1u, 2u}) {
+        config.workers = workers;
+        config.ring_capacity = capacity;
+        WorkerHost host(net, config);
+        ASSERT_EQ(host.submit_batch(workload), workload.size());
+        expect_bit_identical(host.drain(), expected, "tiny-capacity rings");
+        EXPECT_EQ(host.ring_slots_written(),
+                  workload.size() * request_slots(shape.width))
+            << "width " << shape.width << " capacity " << capacity
+            << " workers " << workers;
       }
-      ASSERT_EQ(host.submit_batch(workload), workload.size());
-      const auto served = host.drain();
-      expect_bit_identical(served, expected, "tiny-capacity rings");
-      EXPECT_EQ(host.ring_slots_written(), workload.size())
-          << "capacity " << capacity << " workers " << workers;
     }
   }
 }
 
-TEST(WorkerHostRings, FallbackPathsSelectFramesAndStayBitIdentical) {
+TEST(WorkerHostRings, ScriptedSigkillOnRingsMatchesReplicaPool) {
   SKIP_WITHOUT_TRANSPORT();
-  // Both fallbacks: use_rings=false pins the framed socket path outright,
-  // and a network whose input dimension exceeds a ring slot falls back
-  // automatically even with rings requested. Either way the deployment
-  // serves frames (batch_frames > 0, zero ring slots) and results match
-  // the in-process pool bit for bit.
-  {
-    const auto net = transport_net(13);
-    const auto workload = transport_workload(48, 21);
-    TransportConfig config;
-    config.workers = 2;
-    config.latency = heavy_tail();
-    config.seed = 9;
-    config.use_rings = false;
-    WorkerHost host(net, config);
-    EXPECT_FALSE(host.rings_active());
-    ASSERT_EQ(host.submit_batch(workload), workload.size());
-    const auto served = host.drain();
-    EXPECT_EQ(host.ring_slots_written(), 0u);
-    EXPECT_GT(host.batch_frames(), 0u);
-
-    serve::ServeConfig pool_config;
-    pool_config.replicas = 2;
-    pool_config.latency = heavy_tail();
-    pool_config.seed = 9;
-    serve::ReplicaPool pool(net, pool_config);
-    ASSERT_EQ(pool.submit_batch(workload), workload.size());
-    expect_bit_identical(served, pool.drain(), "use_rings=false");
-  }
-  {
-    // kRingSlotDoubles + 1 inputs cannot ride a slot.
-    Rng rng(5);
-    const auto wide = nn::NetworkBuilder(kRingSlotDoubles + 1)
-                          .activation(nn::ActivationKind::kSigmoid, 1.0)
-                          .hidden(4)
-                          .init(nn::InitKind::kUniform, 0.5)
-                          .build(rng);
-    Rng workload_rng(6);
-    std::vector<std::vector<double>> workload(24);
-    for (auto& x : workload) {
-      x.resize(wide.input_dim());
-      for (auto& v : x) v = workload_rng.uniform();
-    }
-    TransportConfig config;
-    config.workers = 2;
-    config.latency = heavy_tail();
-    config.seed = 9;
-    config.use_rings = true;  // requested, but the input cannot fit
-    WorkerHost host(wide, config);
-    EXPECT_FALSE(host.rings_active());
-    ASSERT_EQ(host.submit_batch(workload), workload.size());
-    const auto served = host.drain();
-    EXPECT_EQ(host.ring_slots_written(), 0u);
-    EXPECT_GT(host.batch_frames(), 0u);
-
-    serve::ServeConfig pool_config;
-    pool_config.replicas = 2;
-    pool_config.latency = heavy_tail();
-    pool_config.seed = 9;
-    serve::ReplicaPool pool(wide, pool_config);
-    ASSERT_EQ(pool.submit_batch(workload), workload.size());
-    expect_bit_identical(served, pool.drain(), "wide-input fallback");
-  }
-}
-
-TEST(WorkerHostRings, ScriptedSigkillOnRingsMatchesSocketPath) {
-  SKIP_WITHOUT_TRANSPORT();
-  // The scripted crash machinery rides unchanged on top of the rings:
-  // a SIGKILL window mid-replay moves requests between processes on both
-  // paths and neither result stream diverges from the other.
+  // The scripted crash machinery rides on the rings: a SIGKILL window
+  // mid-replay moves requests between processes, and the result stream
+  // never diverges from the in-process pool.
   const auto net = transport_net(9);
   const auto workload = transport_workload(96, 31);
 
@@ -1387,29 +1230,120 @@ TEST(WorkerHostRings, ScriptedSigkillOnRingsMatchesSocketPath) {
   config.workers = 2;
   config.latency = heavy_tail();
   config.seed = 41;
+  const auto expected = pool_reference(net, config, workload);
 
-  config.use_rings = false;
-  std::vector<serve::RequestResult> expected;
-  {
-    WorkerHost host(net, config);
-    host.set_crash_script({{0, 24, 72}});
-    ASSERT_EQ(host.submit_batch(workload), workload.size());
-    expected = host.drain();
-    EXPECT_GE(host.restarts(), 1u);
-  }
-
-  config.use_rings = true;
   WorkerHost host(net, config);
-  if (!host.rings_active()) {
-    GTEST_SKIP() << "shared-memory rings unavailable on this platform";
-  }
   host.set_crash_script({{0, 24, 72}});
   ASSERT_EQ(host.submit_batch(workload), workload.size());
-  const auto served = host.drain();
-  expect_bit_identical(served, expected, "scripted kill rings vs socket");
+  expect_bit_identical(host.drain(), expected, "scripted kill vs pool");
   EXPECT_GE(host.restarts(), 1u);
-  EXPECT_GE(host.resubmitted(), 0u);
   EXPECT_EQ(host.report().completed, workload.size());
+}
+
+TEST(WorkerHostRings, DoorbellCountersCountBothDirectionsOfAPark) {
+  SKIP_WITHOUT_TRANSPORT();
+  // The doorbell counters tell the truth: a worker idle long enough parks
+  // on its empty request ring; a probe submitted while it is SIGSTOPped
+  // owes it one doorbell byte, the host's spin runs dry and it parks too
+  // (a sleep wakeup), and once a side thread SIGCONTs the worker its
+  // result comes back with one byte the other way.
+  const auto net = transport_net(13);
+  const auto workload = transport_workload(2, 21);
+  TransportConfig config;
+  config.workers = 1;
+  config.latency = heavy_tail();
+  config.seed = 17;
+  const auto expected = pool_reference(net, config, workload);
+
+  WorkerHost host(net, config);
+  ASSERT_TRUE(host.submit(workload[0]));
+  std::vector<serve::RequestResult> served{host.wait()};
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));  // it parks
+  const std::size_t doorbells = host.ring_doorbells();
+  const std::size_t sleeps = host.ring_sleep_wakeups();
+  const int pid = host.worker_pid(0);
+  ASSERT_GT(pid, 0);
+  ASSERT_EQ(::kill(pid, SIGSTOP), 0);
+  ASSERT_TRUE(host.submit(workload[1]));
+  std::thread resume([pid] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::kill(pid, SIGCONT);
+  });
+  served.push_back(host.wait());
+  resume.join();
+
+  expect_bit_identical(served, expected, "doorbell round trip");
+  EXPECT_GE(host.ring_sleep_wakeups(), sleeps + 1);
+  EXPECT_GE(host.ring_doorbells(), doorbells + 2);  // one byte each way
+}
+
+TEST(WorkerHostRings, KillRespawnWindowsLeaveNoResidue) {
+  SKIP_WITHOUT_TRANSPORT();
+  // Endurance at CI size, after Sardi et al.'s reoccurring catastrophic
+  // failures: 250 scripted kill/respawn windows alternate between the two
+  // workers of one fleet. Every respawn reuses the worker's ring mapping
+  // and a fresh socketpair, so the process must hold as many descriptors
+  // after window 250 as after window 50 and no more mappings — and the
+  // results stay bit-identical to the pool.
+  if (!std::filesystem::is_directory("/proc/self/fd")) {
+    GTEST_SKIP() << "no /proc/self/fd on this platform";
+  }
+  const auto count_fds = [] {
+    std::size_t n = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  const auto count_maps = [] {
+    std::ifstream maps("/proc/self/maps");
+    std::size_t n = 0;
+    for (std::string line; std::getline(maps, line);) ++n;
+    return n;
+  };
+
+  constexpr std::size_t kWindows = 250;
+  // Requests per window: worker k % 2 dies at id 4k + 1 and is back at
+  // 4k + 3, so each checkpoint (a drained multiple of the period) finds
+  // both workers alive and the next window not yet fired.
+  constexpr std::size_t kPeriod = 4;
+  const auto net = transport_net(13);
+  const auto workload = transport_workload(kWindows * kPeriod, 23);
+  TransportConfig config;
+  config.workers = 2;
+  config.latency = heavy_tail();
+  config.seed = 61;
+  const auto expected = pool_reference(net, config, workload);
+
+  WorkerHost host(net, config);
+  std::vector<CrashWindow> script;
+  for (std::size_t k = 0; k < kWindows; ++k) {
+    script.push_back({k % 2, k * kPeriod + 1, k * kPeriod + 3});
+  }
+  host.set_crash_script(script);
+  // Fifty windows per drain, so every drain allocates alike and only a
+  // leak can move the counts after the first checkpoint.
+  std::vector<serve::RequestResult> served;
+  served.reserve(workload.size());
+  std::size_t fds_at_50 = 0;
+  std::size_t maps_at_50 = 0;
+  for (std::size_t upto = 50; upto <= kWindows; upto += 50) {
+    const std::span<const std::vector<double>> chunk{
+        workload.data() + served.size(), 50 * kPeriod};
+    ASSERT_EQ(host.submit_batch(chunk), chunk.size());
+    for (auto& result : host.drain()) served.push_back(result);
+    EXPECT_EQ(host.restarts(), upto);
+    if (upto == 50) {
+      fds_at_50 = count_fds();
+      maps_at_50 = count_maps();
+    }
+  }
+  EXPECT_EQ(count_fds(), fds_at_50);
+  EXPECT_LE(count_maps(), maps_at_50);
+  EXPECT_EQ(host.restarts(), kWindows);
+  expect_bit_identical(served, expected, "kill/respawn endurance");
 }
 
 TEST(WorkerHostRings, ClosedLoopBatchesNeverStall) {
@@ -1438,11 +1372,8 @@ TEST(WorkerHostRings, ClosedLoopBatchesNeverStall) {
 
   TransportConfig config;
   config.workers = 2;
-  config.batch = 64;
+  config.window = 256;
   WorkerHost host(net, config);
-  if (!host.rings_active()) {
-    GTEST_SKIP() << "shared-memory rings unavailable on this platform";
-  }
 
   constexpr int kBatches = 3000;
   constexpr auto kBatchDeadline = std::chrono::seconds(5);
@@ -1629,12 +1560,11 @@ TEST(TransportBackend, RepeatedCampaignsReuseOneFleet) {
   EXPECT_EQ(transport.fleet()->rebinds(), 4u);
 }
 
-TEST(TransportBackend, CrossCheckHoldsAtEveryBatchSizeWithSigkillMidBatch) {
+TEST(TransportBackend, CrossCheckHoldsWithSigkillMidWindow) {
   SKIP_WITHOUT_TRANSPORT();
-  // The acceptance bar for batching: Transport↔Simulator bit-equality at
-  // batch sizes 1, 8, and 64, with a real SIGKILL landing mid-batch —
-  // and the worker_restarts / resubmitted counters round-tripping through
-  // the batch frames (the kill really happened, probes really moved).
+  // Transport↔Simulator bit-equality at the default window with a real
+  // SIGKILL landing mid-window — and the worker_restarts / resubmitted
+  // counters show the kill really happened and probes really moved.
   const auto net = transport_net(5);
   fault::CampaignConfig config;
   config.attack = fault::AttackKind::kRandomByzantine;
@@ -1647,35 +1577,25 @@ TEST(TransportBackend, CrossCheckHoldsAtEveryBatchSizeWithSigkillMidBatch) {
   theory::FepOptions fep;
   fep.mode = theory::FailureMode::kByzantine;
 
-  for (const std::size_t batch : {1u, 8u, 64u}) {
-    exec::SimulatorBackend simulator(net);
-    exec::TransportBackendOptions options;
-    options.workers = 2;
-    options.batch = batch;
-    options.pipeline_depth = 2;
-    // The batch_frames round-trip below is socket-path-specific (rings
-    // ship slots, not frames); RingSigkillMidStream covers the kill over
-    // the rings.
-    options.use_rings = false;
-    // The kill lands at request id 20 — inside a dispatched batch for
-    // every batch size — and recovers at 64.
-    options.crash_script = {{0, 20, 64}};
-    exec::TransportBackend transport(net, options);
-    const auto check = fault::cross_check_campaign(net, counts, config, fep,
-                                                   transport, simulator);
-    EXPECT_EQ(check.max_divergence, 0.0)
-        << "batch " << batch << " diverged at trial "
-        << check.divergent_trial << " probe " << check.divergent_probe;
-    EXPECT_EQ(check.first.observed_max, check.second.observed_max);
-    // Counter round-trip through the batch frames: exactly one scripted
-    // kill, its unacknowledged probes resubmitted, everything completed.
-    const auto& report = transport.last_report();
-    EXPECT_EQ(report.worker_restarts, 1u) << "batch " << batch;
-    EXPECT_LE(report.resubmitted, options.pipeline_depth * batch);
-    EXPECT_EQ(report.completed, config.trials * config.probes_per_trial);
-    EXPECT_GE(report.batch_frames,
-              (config.trials * config.probes_per_trial + batch - 1) / batch);
-  }
+  exec::SimulatorBackend simulator(net);
+  exec::TransportBackendOptions options;
+  options.workers = 2;
+  // The kill lands at request id 20 — inside the dispatched window — and
+  // recovers at 64.
+  options.crash_script = {{0, 20, 64}};
+  exec::TransportBackend transport(net, options);
+  const auto check = fault::cross_check_campaign(net, counts, config, fep,
+                                                 transport, simulator);
+  EXPECT_EQ(check.max_divergence, 0.0)
+      << "diverged at trial " << check.divergent_trial << " probe "
+      << check.divergent_probe;
+  EXPECT_EQ(check.first.observed_max, check.second.observed_max);
+  // Exactly one scripted kill, its unacknowledged probes resubmitted,
+  // everything completed.
+  const auto& report = transport.last_report();
+  EXPECT_EQ(report.worker_restarts, 1u);
+  EXPECT_LE(report.resubmitted, TransportConfig{}.window);
+  EXPECT_EQ(report.completed, config.trials * config.probes_per_trial);
 }
 
 TEST(TransportBackend, TimelineCampaignWithRealKillsMatchesSimulator) {
