@@ -3,7 +3,9 @@
 // (Assumption 1), latencies, and the Corollary-2 boosting engine.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "dist/boosting.hpp"
 #include "dist/sim.hpp"
@@ -462,6 +464,90 @@ TEST(Boosting, ParallelWorkloadLoopIsReproducible) {
   EXPECT_DOUBLE_EQ(first.mean_boosted_time, second.mean_boosted_time);
   EXPECT_DOUBLE_EQ(first.mean_abs_error, second.mean_abs_error);
   EXPECT_DOUBLE_EQ(first.max_abs_error, second.max_abs_error);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// 8 -> 12 -> 10 -> 6 with a small-world layer 2 whose per-edge channels
+/// alternate binding (0.3) and non-binding (4.0) capacities.
+nn::FeedForwardNetwork capped_small_world_net() {
+  Rng rng(71);
+  auto net = nn::NetworkBuilder(8)
+                 .activation(nn::ActivationKind::kSigmoid, 1.0)
+                 .hidden(12)
+                 .hidden(10, nn::Topology::small_world(4, 0.3))
+                 .hidden(6)
+                 .init(nn::InitKind::kUniform, 0.6)
+                 .build(rng);
+  nn::LayerTopology topo = *net.layer(2).topology();
+  std::vector<double> caps(topo.edge_count());
+  for (std::size_t e = 0; e < caps.size(); ++e) {
+    caps[e] = e % 3 == 0 ? 0.3 : 4.0;
+  }
+  topo.set_edge_capacities(std::move(caps));
+  net.layer(2).set_topology(std::move(topo));
+  return net;
+}
+
+TEST(Simulator, ResultBitsPinnedUnderCutsFaultsAndChannels) {
+  // Golden bits for every SimResult field under everything the simulator
+  // layers on the forward pass at once: cuts on every receiver set (output
+  // included) under hold-last and then kZero, heavy-tail latencies, a
+  // binding global capacity, per-edge channels, and a perturbation-
+  // convention plan mixing every neuron species with synapse faults on a
+  // capped edge and on the output set.
+  const auto net = capped_small_world_net();
+  const auto* topo = net.layer(2).topology();
+  ASSERT_EQ(topo->edge_capacity(0), 0.3);
+  fault::FaultPlan plan;  // perturbation convention (the default)
+  plan.neurons = {{1, 2, fault::NeuronFaultKind::kCrash, 0.0},
+                  {1, 7, fault::NeuronFaultKind::kByzantine, 0.4},
+                  {2, 5, fault::NeuronFaultKind::kStuckAt, 0.7},
+                  {3, 1, fault::NeuronFaultKind::kByzantine, -0.5}};
+  plan.synapses = {{2, topo->edge_row(0), topo->cols()[0],
+                    fault::SynapseFaultKind::kCrash, 0.0},
+                   {4, 0, 3, fault::SynapseFaultKind::kByzantine, 0.6}};
+  SimConfig config;
+  config.capacity = 0.9;
+  NetworkSimulator sim(net, config);
+  sim.apply_faults(plan);
+  const LatencyModel latency{LatencyKind::kHeavyTail, 1.0, 50.0, 0.3};
+  const std::vector<std::size_t> cut{6, 9, 7, 4};
+
+  struct Golden {
+    std::uint64_t output;
+    std::uint64_t completion_time;
+    std::size_t resets_sent;
+    std::uint64_t fire[3];
+  };
+  const Golden golden[4] = {
+      {0xbfbd8bdd82651b42ull, 0x404fca385575f3dbull, 74,
+       {0x404790a07c70b627ull, 0x4052ccdee2b4d6cdull, 0x4056ee8ca44a6106ull}},
+      {0xbfac6a6d764a69b4ull, 0x404543e43649d763ull, 74,
+       {0x40444005cbbe228full, 0x4049d33eb41e729dull, 0x4053a79486c166cbull}},
+      {0x3f940b41d3ac8e88ull, 0x4041252a2411fab4ull, 74,
+       {0x4046eccb43a5ee31ull, 0x40536af775e5cbc0ull, 0x4051b262069e6ab6ull}},
+      {0xbfddcdd91a650a02ull, 0x401383277c5cff18ull, 74,
+       {0x403c5684b0251626ull, 0x4043f6b1eaf4f5d4ull, 0x4049c59c3a1e0c0cull}},
+  };
+  Rng root(73);
+  for (int round = 0; round < 4; ++round) {
+    Rng child = root.split();
+    sim.sample_latencies(latency, child);
+    std::vector<double> x(net.input_dim());
+    for (double& v : x) v = child.uniform();
+    const auto policy = round < 3 ? ResetPolicy::kHoldLast : ResetPolicy::kZero;
+    const auto result = sim.evaluate_boosted(x, cut, policy);
+    EXPECT_EQ(bits(result.output), golden[round].output) << round;
+    EXPECT_EQ(bits(result.completion_time), golden[round].completion_time)
+        << round;
+    EXPECT_EQ(result.resets_sent, golden[round].resets_sent) << round;
+    ASSERT_EQ(result.layer_fire_times.size(), 3u);
+    for (std::size_t l = 0; l < 3; ++l) {
+      EXPECT_EQ(bits(result.layer_fire_times[l]), golden[round].fire[l])
+          << round << " layer " << l + 1;
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // semantics against hand computations, adversary strategies, campaigns.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 
@@ -159,6 +161,44 @@ TEST(Injector, WorstOutputErrorIsMaxOverInputs) {
   EXPECT_DOUBLE_EQ(
       injector.worst_output_error(plan, {inputs.data(), inputs.size()}),
       expected);
+}
+
+TEST(Injector, DamagedOutputBitsPinned) {
+  // Golden output bits of the damaged pass on an 8 -> 12 -> 10 -> 6 net
+  // with a small-world layer 2: perturbation-convention Byzantine neurons
+  // below the top layer (perturbed from the nominal trace), every other
+  // neuron species, and synapse faults on a sparse edge and the output set.
+  Rng rng(71);
+  const auto net = nn::NetworkBuilder(8)
+                       .activation(nn::ActivationKind::kSigmoid, 1.0)
+                       .hidden(12)
+                       .hidden(10, nn::Topology::small_world(4, 0.3))
+                       .hidden(6)
+                       .init(nn::InitKind::kUniform, 0.6)
+                       .build(rng);
+  const auto* topo = net.layer(2).topology();
+  ASSERT_NE(topo, nullptr);
+  FaultPlan plan;  // perturbation convention (the default)
+  plan.neurons = {{1, 7, NeuronFaultKind::kByzantine, 0.4},
+                  {1, 2, NeuronFaultKind::kCrash, 0.0},
+                  {2, 3, NeuronFaultKind::kByzantine, -0.6},
+                  {2, 5, NeuronFaultKind::kStuckAt, 0.7},
+                  {3, 1, NeuronFaultKind::kByzantine, 0.5}};
+  plan.synapses = {{1, 4, 6, SynapseFaultKind::kByzantine, 0.8},
+                   {2, topo->edge_row(5), topo->cols()[5],
+                    SynapseFaultKind::kCrash, 0.0},
+                   {4, 0, 2, SynapseFaultKind::kCrash, 0.0}};
+  validate_plan(plan, net);
+  Injector injector(net);
+  const std::uint64_t golden[3] = {0x3fcfa0092dbe5cbeull, 0x3fcb71c20bbaa796ull,
+                                   0x3fbab732e464d790ull};
+  Rng probes(79);
+  for (int n = 0; n < 3; ++n) {
+    std::vector<double> x(net.input_dim());
+    for (double& v : x) v = probes.uniform();
+    const double out = injector.damaged(plan, x);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out), golden[n]) << "probe " << n;
+  }
 }
 
 TEST(Adversary, RandomCrashPlanHasRequestedShape) {

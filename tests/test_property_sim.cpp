@@ -6,7 +6,9 @@
 // topologies.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <tuple>
 
@@ -20,6 +22,8 @@
 
 namespace wnf {
 namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 nn::FeedForwardNetwork random_net(Rng& rng) {
   const std::size_t depth = 1 + rng.uniform_index(3);
@@ -94,7 +98,7 @@ TEST(SimEquivalence, MixedFaultPlansMatchInjectorExactly) {
     fault::Injector injector(net);
     for (int probe = 0; probe < 4; ++probe) {
       std::vector<double> x{rng.uniform(), rng.uniform()};
-      EXPECT_NEAR(sim.evaluate(x).output, injector.damaged(plan, x), 1e-11)
+      EXPECT_EQ(bits(sim.evaluate(x).output), bits(injector.damaged(plan, x)))
           << "divergence at round " << round;
     }
   }
@@ -114,7 +118,7 @@ TEST(SimEquivalence, NominalAgreesWithBatchedAndPerSamplePaths) {
     for (std::size_t n = 0; n < inputs.size(); ++n) {
       const double per_sample = net.evaluate(inputs[n], ws);
       EXPECT_NEAR(batched[n], per_sample, 1e-11);
-      EXPECT_NEAR(sim.evaluate(inputs[n]).output, per_sample, 1e-11);
+      EXPECT_EQ(bits(sim.evaluate(inputs[n]).output), bits(per_sample));
     }
   }
 }
