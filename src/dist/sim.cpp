@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "tensor/ops.hpp"
 #include "util/contract.hpp"
 
 namespace wnf::dist {
@@ -33,13 +32,19 @@ NetworkSimulator::NetworkSimulator(const nn::FeedForwardNetwork& net,
     full_wait_[l - 1] = l == 1 ? net_.input_dim() : widths_[l - 2];
     max_width = std::max(max_width, widths_[l - 1]);
   }
-  sent_.reserve(max_width);
+  stragglers_.resize(depth + 1);
+  for (auto& row : stragglers_) row.reserve(max_width);
   arrival_.reserve(max_width);
-  incoming_.reserve(max_width);
-  preact_.reserve(max_width);
-  value_.reserve(max_width);
   fire_.reserve(max_width);
   order_.reserve(max_width);
+  input_.reserve(net_.input_dim());
+  hooks_.pre_activation = [this](std::size_t l, std::span<const double> y_prev,
+                                 std::span<double> s) {
+    deliver(l, y_prev, s);
+  };
+  hooks_.post_activation = [this](std::size_t l, std::span<double> y) {
+    transmit(l, y);
+  };
 }
 
 SimResult NetworkSimulator::evaluate(std::span<const double> x) {
@@ -81,17 +86,16 @@ void NetworkSimulator::reset_history() {
   has_history_ = false;
 }
 
-double NetworkSimulator::cut_stragglers(std::size_t wait_count,
-                                        std::size_t receivers,
-                                        const std::vector<double>* history_row,
-                                        ResetPolicy policy, SimResult& result,
-                                        const std::vector<double>** inputs) {
-  const std::size_t fan_in = sent_.size();
+double NetworkSimulator::wait_for(std::size_t wait_count,
+                                  std::size_t receivers,
+                                  std::vector<std::size_t>& stragglers,
+                                  SimResult& result) {
+  const std::size_t fan_in = arrival_.size();
   const std::size_t wait = std::min(wait_count, fan_in);
+  stragglers.clear();
   double barrier = 0.0;
   if (wait >= fan_in) {
     for (const double t : arrival_) barrier = std::max(barrier, t);
-    *inputs = &sent_;
     return barrier;
   }
   // Every receiver hears the same senders at the same times, so they share
@@ -103,23 +107,62 @@ double NetworkSimulator::cut_stragglers(std::size_t wait_count,
                    [&](std::size_t a, std::size_t b) {
                      return arrival_[a] < arrival_[b];
                    });
-  incoming_ = sent_;
   for (std::size_t k = 0; k < wait; ++k) {
     barrier = std::max(barrier, arrival_[order_[k]]);
   }
-  for (std::size_t k = wait; k < fan_in; ++k) {
-    const std::size_t cut = order_[k];
-    double substitute = 0.0;  // Corollary 2: read the straggler as 0
-    if (policy == ResetPolicy::kHoldLast && has_history_ &&
-        history_row != nullptr) {
-      substitute = (*history_row)[cut];
-    }
-    incoming_[cut] = substitute;
-  }
+  stragglers.assign(order_.begin() + wait, order_.end());
   // Each receiver tells each straggler to stand down.
   result.resets_sent += (fan_in - wait) * receivers;
-  *inputs = &incoming_;
   return barrier;
+}
+
+void NetworkSimulator::substitute_stragglers(std::size_t l,
+                                             std::span<double> y) const {
+  // Corollary 2 reads a straggler as 0; hold-last reuses what it sent last
+  // time (input clients, l = 1, keep no history).
+  const std::vector<double>* history =
+      policy_ == ResetPolicy::kHoldLast && has_history_ && l >= 2
+          ? &history_[l - 2]
+          : nullptr;
+  for (const std::size_t i : stragglers_[l - 1]) {
+    y[i] = history != nullptr ? (*history)[i] : 0.0;
+  }
+}
+
+void NetworkSimulator::deliver(std::size_t l, std::span<const double> y_prev,
+                               std::span<double> s) const {
+  const nn::LayerTopology* topo =
+      l <= net_.layer_count() ? net_.layer(l).topology() : nullptr;
+  if (topo != nullptr && topo->has_edge_capacities()) {
+    // Per-edge channels clamp what each edge delivers (receiver side, on
+    // top of the sender-side global C), so the layer's rows are recomputed
+    // through them. With uniform non-binding capacities this accumulates
+    // term for term like gemv_csr, so the two are bit-identical.
+    const auto& layer = net_.layer(l);
+    const auto row_ptr = topo->row_ptr();
+    const auto cols = topo->cols();
+    const auto caps = topo->edge_capacities();
+    const auto bias = layer.bias();
+    for (std::size_t j = 0; j < s.size(); ++j) {
+      double sum = 0.0;
+      for (std::size_t e = row_ptr[j]; e < row_ptr[j + 1]; ++e) {
+        sum += layer.weights()(j, cols[e]) * channel(y_prev[cols[e]], caps[e]);
+      }
+      s[j] = sum;
+      s[j] += bias[j];
+    }
+  }
+  fault::apply_synapse_faults(plan_, net_, l, y_prev, s,
+                              /*edge_channels=*/true);
+}
+
+void NetworkSimulator::transmit(std::size_t l, std::span<double> y) {
+  // Messages carry no nominal trace, so a perturbing neuron perturbs y.
+  fault::apply_neuron_faults(plan_, l, y, y);
+  const double capacity = config_.capacity;  // a local: `y` cannot alias it
+  for (double& v : y) v = channel(v, capacity);
+  history_next_[l - 1].assign(y.begin(), y.end());
+  substitute_stragglers(l + 1, y);  // what layer l+1 (or the output) reads
 }
 
 SimResult NetworkSimulator::run(std::span<const double> x,
@@ -129,139 +172,47 @@ SimResult NetworkSimulator::run(std::span<const double> x,
   const std::size_t depth = net_.layer_count();
   WNF_EXPECTS(wait_counts.size() == depth || wait_counts.size() == depth + 1);
 
+  // When: every receiver set's wait set and every fire time. No value is
+  // needed — a crashed or Byzantine neuron fires at t = 0 whatever it
+  // sends. Input clients all arrive at t = 0.
   SimResult result;
   result.layer_fire_times.reserve(depth);
-
-  // State entering each round: what every sender of the previous set
-  // transmitted and when it arrived. Input clients all arrive at t = 0.
-  sent_.assign(x.begin(), x.end());
   arrival_.assign(x.size(), 0.0);
-
   for (std::size_t l = 1; l <= depth; ++l) {
-    const auto& layer = net_.layer(l);
-    const std::size_t width = layer.out_size();
-    const std::vector<double>* hist =
-        has_history_ && l >= 2 ? &history_[l - 2] : nullptr;
-    const std::vector<double>* inputs = nullptr;
     const double barrier =
-        cut_stragglers(wait_counts[l - 1], width, hist, policy, result,
-                       &inputs);
-
-    // Pre-activations via the same affine kernel as the matrix path (sparse
-    // layers take the CSR route inside affine, so messages only travel along
-    // existing edges), then synapse faults exactly as Injector's
-    // pre_activation hook applies them. A topology carrying per-edge
-    // capacities switches to an explicit CSR loop that clamps what each edge
-    // delivers (receiver side, on top of the sender-side global C); with
-    // uniform non-binding capacities the loop accumulates term-for-term like
-    // gemv_csr, so the two paths are bit-identical.
-    preact_.resize(width);
-    const nn::LayerTopology* topo = layer.topology();
-    const bool edge_caps = topo != nullptr && topo->has_edge_capacities();
-    if (edge_caps) {
-      const auto row_ptr = topo->row_ptr();
-      const auto cols = topo->cols();
-      const auto caps = topo->edge_capacities();
-      const auto bias = layer.bias();
-      for (std::size_t j = 0; j < width; ++j) {
-        double sum = 0.0;
-        for (std::size_t e = row_ptr[j]; e < row_ptr[j + 1]; ++e) {
-          sum += layer.weights()(j, cols[e]) *
-                 channel((*inputs)[cols[e]], caps[e]);
-        }
-        preact_[j] = sum;
-        preact_[j] += bias[j];
-      }
-    } else {
-      layer.affine(*inputs, preact_);
-    }
-    for (const auto& fault : plan_.synapses) {
-      if (fault.layer != l) continue;
-      const double weight = layer.weights()(fault.to, fault.from);
-      if (fault.kind == fault::SynapseFaultKind::kCrash) {
-        // edge delivers nothing: subtract what it actually delivered
-        double delivered = (*inputs)[fault.from];
-        if (edge_caps) {
-          const std::size_t e = topo->edge_offset(fault.to, fault.from);
-          if (e != nn::LayerTopology::npos) {
-            delivered = channel(delivered, topo->edge_capacity(e));
-          }
-        }
-        preact_[fault.to] -= weight * delivered;
-      } else {
-        preact_[fault.to] += weight * fault.value;  // edge sends w*(y + value)
-      }
-    }
-
-    // Fire: activation on the local clock, then neuron faults, then the
-    // capacity-C channel on every transmitted value.
-    value_.resize(width);
-    fire_.resize(width);
-    net_.activation().apply(preact_, value_);
-    for (std::size_t j = 0; j < width; ++j) {
+        wait_for(wait_counts[l - 1], widths_[l - 1], stragglers_[l - 1],
+                 result);
+    fire_.resize(widths_[l - 1]);
+    for (std::size_t j = 0; j < fire_.size(); ++j) {
       fire_[j] = barrier + latencies_[l - 1][j];
     }
     for (const auto& fault : plan_.neurons) {
-      if (fault.layer != l) continue;
-      switch (fault.kind) {
-        case fault::NeuronFaultKind::kCrash:
-          value_[fault.neuron] = 0.0;  // Definition 2: peers read 0
-          fire_[fault.neuron] = 0.0;   // a silent process delays nobody
-          break;
-        case fault::NeuronFaultKind::kByzantine:
-          // An attacker does not compute; it fires immediately. Under the
-          // perturbation convention it perturbs its own (possibly already
-          // damaged) value — messages carry no nominal trace.
-          value_[fault.neuron] =
-              plan_.convention ==
-                      theory::CapacityConvention::kPerturbationBound
-                  ? value_[fault.neuron] + fault.value
-                  : fault.value;
-          fire_[fault.neuron] = 0.0;
-          break;
-        case fault::NeuronFaultKind::kStuckAt:
-          value_[fault.neuron] = fault.value;  // frozen value, normal clock
-          break;
+      // A crashed process delays nobody and a Byzantine one does not
+      // compute: both fire at t = 0. A stuck-at neuron keeps its clock.
+      if (fault.layer == l && fault.kind != fault::NeuronFaultKind::kStuckAt) {
+        fire_[fault.neuron] = 0.0;
       }
     }
-    for (double& v : value_) v = channel(v, config_.capacity);
-
     double layer_fire = 0.0;
     for (const double t : fire_) layer_fire = std::max(layer_fire, t);
     result.layer_fire_times.push_back(layer_fire);
-
-    history_next_[l - 1] = value_;
-    std::swap(sent_, value_);
     std::swap(arrival_, fire_);
   }
-
   // The output node is a client: it waits for all of layer L — or, when a
   // top-layer cut is active (an (L+1)-th wait count), only for the earliest
-  // senders, resetting the rest per `policy` — and sums the (L+1)-th
-  // synapse set, which is part of the network and can fail.
+  // senders, resetting the rest per `policy`.
   const std::size_t out_wait =
-      wait_counts.size() == depth + 1 ? wait_counts[depth] : sent_.size();
-  const std::vector<double>* out_hist =
-      has_history_ && depth >= 1 ? &history_[depth - 1] : nullptr;
-  const std::vector<double>* out_inputs = nullptr;
-  const double out_barrier =
-      cut_stragglers(out_wait, 1, out_hist, policy, result, &out_inputs);
+      wait_counts.size() == depth + 1 ? wait_counts[depth] : arrival_.size();
+  result.completion_time = wait_for(out_wait, 1, stragglers_[depth], result);
 
-  double out = dot({out_inputs->data(), out_inputs->size()},
-                   {net_.output_weights().data(),
-                    net_.output_weights().size()}) +
-               net_.output_bias();
-  for (const auto& fault : plan_.synapses) {
-    if (fault.layer != depth + 1) continue;
-    const double weight = net_.output_weights()[fault.from];
-    if (fault.kind == fault::SynapseFaultKind::kCrash) {
-      out -= weight * (*out_inputs)[fault.from];
-    } else {
-      out += weight * fault.value;
-    }
+  // What: the network's one forward pass, through deliver() and transmit().
+  policy_ = policy;
+  if (!stragglers_[0].empty()) {
+    input_.assign(x.begin(), x.end());
+    substitute_stragglers(1, input_);
+    x = input_;
   }
-  result.output = out;
-  result.completion_time = out_barrier;
+  result.output = net_.evaluate_hooked(x, hooks_, workspace_);
 
   std::swap(history_, history_next_);
   has_history_ = true;

@@ -7,19 +7,19 @@
 // non-positive capacity models the unbounded channels of Lemma 1's
 // impossibility regime).
 //
-// Faults follow fault::Injector semantics value-for-value so the analytic
-// path (matrix forward + hooks) and the systems path (messages + clocks)
-// can be cross-checked bit-for-bit:
-//   - crashed neuron: peers read 0, available immediately
-//   - Byzantine neuron: fires at t = 0 with its planned value (clamped)
-//   - stuck-at neuron: normal schedule, frozen value
-//   - crashed synapse: that edge delivers nothing
-//   - Byzantine synapse: the edge transmits w * (y + value)
-// The one intentional divergence: under the perturbation capacity
-// convention a Byzantine neuron here perturbs its *locally computed*
-// value (which may already reflect upstream damage), not the offline
-// nominal trace the Injector uses — messages have no access to a clean
-// trace. Tests pin equivalence on the transmitted-value convention.
+// An evaluation runs in two passes. The timing pass computes *when*: wait
+// sets, fire times, resets and the completion time, none of which depends
+// on a value (crashed and Byzantine neurons fire at t = 0 whatever they
+// send). The value pass computes *what*: the network's one forward pass,
+// nn::FeedForwardNetwork::evaluate_hooked, whose hooks apply the per-edge
+// channels, the fault semantics the Injector applies (fault/plan.hpp), the
+// capacity-C clamp, the hold-last history and the stragglers' cut.
+//
+// One argument differs from the Injector's: the base a perturbing
+// Byzantine neuron adds its value to is its *locally computed* value
+// (which may already reflect upstream damage), not the offline nominal
+// trace — messages have no access to a clean trace. Tests pin equivalence
+// on the transmitted-value convention.
 #pragma once
 
 #include <cstddef>
@@ -72,6 +72,8 @@ class NetworkSimulator {
  public:
   /// Binds to `net` (kept by reference; must outlive the simulator).
   NetworkSimulator(const nn::FeedForwardNetwork& net, SimConfig config);
+  NetworkSimulator(const NetworkSimulator&) = delete;  // hooks_ hold `this`
+  NetworkSimulator& operator=(const NetworkSimulator&) = delete;
 
   /// Full evaluation: every neuron waits for its complete fan-in.
   SimResult evaluate(std::span<const double> x);
@@ -111,16 +113,24 @@ class NetworkSimulator {
   SimResult run(std::span<const double> x,
                 std::span<const std::size_t> wait_counts, ResetPolicy policy);
 
-  /// Shared wait set for every receiver hearing sent_/arrival_: keeps the
-  /// `wait_count` earliest senders, substitutes the stragglers per
-  /// `policy` (hold-last reads `history_row` when non-null), and charges
-  /// `receivers` reset messages per straggler. Returns the barrier time
-  /// (arrival of the last sender waited for) and points `inputs` at the
-  /// values the receivers actually read.
-  double cut_stragglers(std::size_t wait_count, std::size_t receivers,
-                        const std::vector<double>* history_row,
-                        ResetPolicy policy, SimResult& result,
-                        const std::vector<double>** inputs);
+  /// Shared wait set for every receiver hearing arrival_: keeps the
+  /// `wait_count` earliest senders, lists the rest in `stragglers`, and
+  /// charges `receivers` reset messages per straggler. Returns the barrier
+  /// time (arrival of the last sender waited for).
+  double wait_for(std::size_t wait_count, std::size_t receivers,
+                  std::vector<std::size_t>& stragglers, SimResult& result);
+
+  /// Overwrites what receiver set l (1..L+1) reads from each of its
+  /// stragglers in `y`, the values layer l-1 sent, per policy_.
+  void substitute_stragglers(std::size_t l, std::span<double> y) const;
+
+  /// Pre-activation hook: per-edge channels, then synapse faults.
+  void deliver(std::size_t l, std::span<const double> y_prev,
+               std::span<double> s) const;
+
+  /// Post-activation hook: neuron faults, the capacity-C clamp, the
+  /// hold-last history row, then the next receiver set's cut.
+  void transmit(std::size_t l, std::span<double> y);
 
   const nn::FeedForwardNetwork& net_;
   SimConfig config_;
@@ -133,13 +143,14 @@ class NetworkSimulator {
 
   // Reused evaluation workspaces (sized once; no per-layer allocation).
   std::vector<std::vector<double>> history_next_;
-  std::vector<double> sent_;      ///< values the previous round transmitted
-  std::vector<double> arrival_;   ///< when each of those values arrived
-  std::vector<double> incoming_;  ///< sent_ with stragglers substituted
-  std::vector<double> preact_;    ///< s^(l) under construction
-  std::vector<double> value_;     ///< y^(l) under construction
+  std::vector<std::vector<std::size_t>> stragglers_;  ///< per receiver set
+  ResetPolicy policy_ = ResetPolicy::kZero;  ///< this evaluation's policy
+  std::vector<double> arrival_;   ///< when the previous round's values arrived
   std::vector<double> fire_;      ///< fire times under construction
   std::vector<std::size_t> order_;  ///< senders sorted by arrival
+  std::vector<double> input_;     ///< x with cut input clients read as 0
+  nn::Workspace workspace_;       ///< the forward pass's buffers
+  nn::ForwardHooks hooks_;        ///< deliver() and transmit() on `this`
 };
 
 }  // namespace wnf::dist

@@ -1,12 +1,12 @@
 // Execution backends: one interface over every way this repository can run
 // a fault scenario. The paper lives in the gap between the analytic path
 // (fault::Injector + Fep bounds) and the systems path (dist::NetworkSimulator
-// messages, serve::ReplicaPool traffic); an EvalBackend is the seam that lets
-// a campaign, a bench, or a cross-check drive any of them interchangeably —
-// and the extension point a future multi-process transport backend plugs
-// into. A backend binds one network, installs/clears a fault::FaultPlan,
-// evaluates probe inputs under it, and reports completion metadata where the
-// path has a clock (the Injector does not).
+// messages, serve::ReplicaPool traffic, transport worker processes); an
+// EvalBackend is the seam that lets a campaign, a bench, or a cross-check
+// drive any of them interchangeably. A backend binds one network,
+// installs/clears a fault::FaultPlan, evaluates probe inputs under it, and
+// reports completion metadata where the path has a clock (the Injector does
+// not).
 #pragma once
 
 #include <span>
@@ -51,7 +51,8 @@ class EvalBackend {
  public:
   virtual ~EvalBackend() = default;
 
-  /// Short stable identifier ("injector", "simulator", "serve") for reports.
+  /// Short stable identifier ("injector", "simulator", "serve", "transport")
+  /// for reports.
   virtual std::string_view name() const = 0;
 
   /// The network this backend is bound to.

@@ -18,54 +18,24 @@ double Injector::damaged(const FaultPlan& plan, std::span<const double> x) {
   // Byzantine neuron perturbations are defined relative to the nominal
   // activations, so compute the clean trace first when needed.
   nn::ForwardTrace nominal_trace;
-  const bool needs_trace =
-      plan.has_byzantine_neurons() &&
-      plan.convention == theory::CapacityConvention::kPerturbationBound;
-  if (needs_trace) nominal_trace = net_.forward_trace(x);
+  if (plan.has_byzantine_neurons() &&
+      plan.convention == theory::CapacityConvention::kPerturbationBound) {
+    nominal_trace = net_.forward_trace(x);
+  }
 
   nn::ForwardHooks hooks;
-  hooks.post_activation = [&](std::size_t l, std::span<double> y) {
-    for (const auto& fault : plan.neurons) {
-      if (fault.layer != l) continue;
-      switch (fault.kind) {
-        case NeuronFaultKind::kCrash:
-          y[fault.neuron] = 0.0;  // Definition 2: peers read 0
-          break;
-        case NeuronFaultKind::kByzantine:
-          if (plan.convention ==
-              theory::CapacityConvention::kPerturbationBound) {
-            // activations[l] is y^(l) (index 0 holds the input X).
-            y[fault.neuron] =
-                nominal_trace.activations[l][fault.neuron] + fault.value;
-          } else {
-            y[fault.neuron] = fault.value;
-          }
-          break;
-        case NeuronFaultKind::kStuckAt:
-          y[fault.neuron] = fault.value;  // frozen output
-          break;
-      }
-    }
+  hooks.pre_activation = [this, &plan](std::size_t l,
+                                       std::span<const double> y_prev,
+                                       std::span<double> s) {
+    apply_synapse_faults(plan, net_, l, y_prev, s, /*edge_channels=*/false);
   };
-  hooks.pre_activation = [&](std::size_t l, std::span<const double> y_prev,
-                             std::span<double> s) {
-    for (const auto& fault : plan.synapses) {
-      if (fault.layer != l) continue;
-      const double weight =
-          l <= net_.layer_count()
-              ? net_.layer(l).weights()(fault.to, fault.from)
-              : net_.output_weights()[fault.from];
-      switch (fault.kind) {
-        case SynapseFaultKind::kCrash:
-          // Weight-0 view: remove the contribution this synapse delivered.
-          s[fault.to] -= weight * y_prev[fault.from];
-          break;
-        case SynapseFaultKind::kByzantine:
-          // Transmits w * (y + value) instead of w * y.
-          s[fault.to] += weight * fault.value;
-          break;
-      }
-    }
+  hooks.post_activation = [&plan, &nominal_trace](std::size_t l,
+                                                  std::span<double> y) {
+    // activations[l] is y^(l) (index 0 holds the input X). Without a trace
+    // no fault reads the base.
+    const auto& nominal = nominal_trace.activations;
+    apply_neuron_faults(
+        plan, l, nominal.empty() ? y : std::span<const double>(nominal[l]), y);
   };
   return net_.evaluate_hooked(x, hooks, workspace_);
 }

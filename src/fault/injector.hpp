@@ -1,5 +1,6 @@
-// Executes fault plans: turns a FaultPlan into ForwardHooks and evaluates
-// the damaged network. This is the experimental counterpart of Fep — the
+// Executes fault plans: runs the shared fault functions (fault/plan.hpp)
+// through ForwardHooks on the network's one forward pass and evaluates the
+// damaged network. This is the experimental counterpart of Fep — the
 // "costly experiment" path the paper contrasts with its analytic bound.
 #pragma once
 

@@ -1,5 +1,6 @@
 #include "fault/plan.hpp"
 
+#include <algorithm>
 #include <set>
 #include <tuple>
 
@@ -62,6 +63,47 @@ void validate_plan(const FaultPlan& plan, const nn::FeedForwardNetwork& net) {
     // A synapse is correct, crashed, OR Byzantine — never two at once.
     WNF_EXPECTS(seen_edges.emplace(fault.layer, fault.to, fault.from).second &&
                 "duplicate synapse fault");
+  }
+}
+
+void apply_synapse_faults(const FaultPlan& plan,
+                          const nn::FeedForwardNetwork& net, std::size_t l,
+                          std::span<const double> delivered,
+                          std::span<double> s, bool edge_channels) {
+  const bool hidden = l <= net.layer_count();
+  const nn::LayerTopology* channels =
+      edge_channels && hidden ? net.layer(l).topology() : nullptr;
+  for (const auto& fault : plan.synapses) {
+    if (fault.layer != l) continue;
+    const double weight = hidden ? net.layer(l).weights()(fault.to, fault.from)
+                                 : net.output_weights()[fault.from];
+    if (fault.kind == SynapseFaultKind::kByzantine) {
+      s[fault.to] += weight * fault.value;  // transmits w * (y + value)
+      continue;
+    }
+    double d = delivered[fault.from];
+    if (channels != nullptr && channels->has_edge_capacities()) {
+      const double cap =
+          channels->edge_capacity(channels->edge_offset(fault.to, fault.from));
+      d = std::clamp(d, -cap, cap);
+    }
+    s[fault.to] -= weight * d;  // weight-0 view: the edge delivers nothing
+  }
+}
+
+void apply_neuron_faults(const FaultPlan& plan, std::size_t l,
+                         std::span<const double> base, std::span<double> y) {
+  const bool perturb =
+      plan.convention == theory::CapacityConvention::kPerturbationBound;
+  for (const auto& fault : plan.neurons) {
+    if (fault.layer != l) continue;
+    if (fault.kind == NeuronFaultKind::kCrash) {
+      y[fault.neuron] = 0.0;  // Definition 2: peers read 0
+    } else if (fault.kind == NeuronFaultKind::kByzantine && perturb) {
+      y[fault.neuron] = base[fault.neuron] + fault.value;
+    } else {
+      y[fault.neuron] = fault.value;  // transmitted or frozen (stuck-at)
+    }
   }
 }
 

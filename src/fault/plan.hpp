@@ -2,6 +2,7 @@
 // which neurons/synapses fail, how, and under which capacity convention.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/fep.hpp"
@@ -33,5 +34,27 @@ struct FaultPlan {
 /// range, no duplicate neuron targets, f_l <= N_l. Aborts on violation
 /// (plans are experiment fixtures; a malformed one is a bug, not input).
 void validate_plan(const FaultPlan& plan, const nn::FeedForwardNetwork& net);
+
+/// The fault semantics, in one place: the Injector's and the simulator's
+/// forward-pass hooks both call these two, with different arguments.
+/// Applies `plan`'s synapse faults into layer l (1..L+1; L+1 is the output
+/// set) to its pre-activations `s`, in plan order: a crashed synapse
+/// removes the w * d it delivered, a Byzantine one adds w * value (it
+/// transmits w * (y + value)). `delivered[i]` is what sender i of layer l-1
+/// sent. With `edge_channels` (the simulator's; the matrix path has none),
+/// a synapse of a layer with per-edge capacities delivered d clamped to its
+/// own capacity.
+void apply_synapse_faults(const FaultPlan& plan,
+                          const nn::FeedForwardNetwork& net, std::size_t l,
+                          std::span<const double> delivered,
+                          std::span<double> s, bool edge_channels);
+
+/// Applies `plan`'s neuron faults of layer l (1..L) to its outputs `y`
+/// (Definition 2): crashed reads 0, stuck-at its frozen value, Byzantine its
+/// planned value, or base[j] + value under the perturbation convention. The
+/// Injector passes the nominal y^(l) as `base`; the simulator passes `y`,
+/// because messages carry no nominal trace.
+void apply_neuron_faults(const FaultPlan& plan, std::size_t l,
+                         std::span<const double> base, std::span<double> y);
 
 }  // namespace wnf::fault

@@ -86,19 +86,7 @@ std::vector<double> FeedForwardNetwork::weight_maxima(
 
 double FeedForwardNetwork::evaluate(std::span<const double> x,
                                     Workspace& ws) const {
-  WNF_EXPECTS(x.size() == input_dim_);
-  auto& current = ws.buffer_a();
-  auto& next = ws.buffer_b();
-  current.assign(x.begin(), x.end());
-  for (const auto& layer : hidden_) {
-    next.resize(layer.out_size());
-    layer.affine(current, next);
-    activation_.apply(next, next);
-    std::swap(current, next);
-  }
-  return dot({current.data(), current.size()},
-             {output_weights_.data(), output_weights_.size()}) +
-         output_bias_;
+  return evaluate_hooked(x, {}, ws);
 }
 
 double FeedForwardNetwork::evaluate(std::span<const double> x) const {
@@ -141,21 +129,20 @@ double FeedForwardNetwork::evaluate_hooked(std::span<const double> x,
 
 ForwardTrace FeedForwardNetwork::forward_trace(
     std::span<const double> x) const {
-  WNF_EXPECTS(x.size() == input_dim_);
   ForwardTrace trace;
   trace.activations.emplace_back(x.begin(), x.end());
-  for (const auto& layer : hidden_) {
-    std::vector<double> s(layer.out_size());
-    layer.affine(trace.activations.back(), s);
-    std::vector<double> y(s.size());
-    activation_.apply(s, y);
-    trace.preactivations.push_back(std::move(s));
-    trace.activations.push_back(std::move(y));
-  }
-  trace.output = dot({trace.activations.back().data(),
-                      trace.activations.back().size()},
-                     {output_weights_.data(), output_weights_.size()}) +
-                 output_bias_;
+  ForwardHooks hooks;
+  hooks.pre_activation = [this, &trace](std::size_t l, std::span<const double>,
+                                        std::span<double> s) {
+    if (l <= layer_count()) {  // l = L+1 is the output node
+      trace.preactivations.emplace_back(s.begin(), s.end());
+    }
+  };
+  hooks.post_activation = [&trace](std::size_t, std::span<double> y) {
+    trace.activations.emplace_back(y.begin(), y.end());
+  };
+  Workspace ws;
+  trace.output = evaluate_hooked(x, hooks, ws);
   return trace;
 }
 

@@ -19,20 +19,23 @@
 namespace wnf::nn {
 
 /// Mutation hooks threaded through a forward pass. This is the seam the
-/// fault injector (crash / Byzantine neurons & synapses) and the fixed-point
-/// quantiser plug into, so the nominal forward code has exactly one
-/// implementation.
+/// fault injector, the message simulator (both through the shared fault
+/// functions fault::apply_synapse_faults and fault::apply_neuron_faults),
+/// training's dropout and the fixed-point quantiser plug into, so the
+/// forward code has exactly one implementation: evaluate_hooked.
 struct ForwardHooks {
   /// Called after s^(l) = W^(l) y^(l-1) + b is computed, before phi.
   /// l runs over 1..L for hidden layers and L+1 for the output node (where
-  /// `s` has size 1). Mutating `s` models synapse-level faults.
+  /// `s` has size 1). Mutating `s` models synapse-level faults (and the
+  /// simulator's per-edge channels).
   std::function<void(std::size_t l, std::span<const double> y_prev,
                      std::span<double> s)>
       pre_activation;
 
-  /// Called after y^(l) = phi(s^(l)), l in 1..L. Mutating `y` models
-  /// neuron-level faults (crash: y[j] = 0; Byzantine: y[j] += lambda) and
-  /// reduced-precision implementations (quantise y).
+  /// Called after y^(l) = phi(s^(l)), l in 1..L; layer l+1 reads the
+  /// result. Mutating `y` models neuron-level faults (crash: y[j] = 0;
+  /// Byzantine: y[j] += lambda), reduced-precision implementations
+  /// (quantise y), dropout, and the simulator's clamp and cuts.
   std::function<void(std::size_t l, std::span<double> y)> post_activation;
 };
 
@@ -103,7 +106,8 @@ class FeedForwardNetwork {
   /// All w^(l)_m, l = 1..L+1 (size L+1).
   std::vector<double> weight_maxima(WeightMaxConvention convention) const;
 
-  /// Fneu(X). Allocation-free when reusing `ws` across calls.
+  /// Fneu(X): evaluate_hooked with no hooks. Allocation-free when reusing
+  /// `ws` across calls.
   double evaluate(std::span<const double> x, Workspace& ws) const;
 
   /// Convenience overload (allocates).
@@ -113,7 +117,7 @@ class FeedForwardNetwork {
   double evaluate_hooked(std::span<const double> x, const ForwardHooks& hooks,
                          Workspace& ws) const;
 
-  /// Full trace for backprop / analysis.
+  /// Full trace for backprop / analysis, recorded through the hooks.
   ForwardTrace forward_trace(std::span<const double> x) const;
 
   /// Structural + numeric equality within `tol` (serialization tests).

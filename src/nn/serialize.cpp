@@ -1,9 +1,11 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -64,6 +66,19 @@ void save_network(const FeedForwardNetwork& net, std::ostream& os) {
 
 namespace {
 
+/// Appends `count` values parsed from `is` to `out`, growing it only as they
+/// arrive, so a lying count fails at the end of the input instead of
+/// allocating what it claims. False when fewer than `count` values parse.
+template <typename T>
+bool read_values(std::istream& is, std::size_t count, std::vector<T>& out) {
+  for (std::size_t n = 0; n < count; ++n) {
+    T value{};
+    if (!(is >> value)) return false;
+    out.push_back(value);
+  }
+  return true;
+}
+
 /// Parses one v2 `adjacency` section (the header token has already been
 /// matched) and returns the layer's topology: nullopt on malformed input,
 /// an empty optional-of-optional distinction is avoided by returning an
@@ -80,34 +95,37 @@ bool load_adjacency(std::istream& is, std::size_t out_size,
   }
   if (shape != "sparse") return false;
   std::size_t nnz = 0;
-  if (!(is >> nnz) || nnz == 0 || nnz > out_size * in_size) return false;
-  std::vector<std::size_t> row_ptr(out_size + 1);
-  if (!(is >> token) || token != "rowptr") return false;
-  for (std::size_t& p : row_ptr) {
-    if (!(is >> p)) return false;
+  if (!(is >> nnz) || nnz == 0) return false;
+  // row_ptr holds out_size + 1 offsets: the leading 0, then one per row.
+  std::vector<std::size_t> row_ptr;
+  if (!(is >> token) || token != "rowptr" ||
+      !read_values(is, 1, row_ptr) || row_ptr.front() != 0 ||
+      !read_values(is, out_size, row_ptr) || row_ptr.back() != nnz) {
+    return false;
   }
-  if (row_ptr.front() != 0 || row_ptr.back() != nnz) return false;
-  std::vector<std::size_t> cols(nnz);
-  if (!(is >> token) || token != "cols") return false;
-  for (std::size_t& c : cols) {
-    if (!(is >> c)) return false;
+  std::vector<std::size_t> cols;
+  if (!(is >> token) || token != "cols" || !read_values(is, nnz, cols)) {
+    return false;
   }
   // Full structural validation before LayerTopology's aborting contracts
-  // can see the data: monotone rows with in-degree >= 1, sorted unique
-  // in-range columns.
+  // can see the data: monotone rows with in-degree >= 1 that stay inside
+  // `cols`, sorted unique in-range columns.
   for (std::size_t j = 0; j < out_size; ++j) {
-    if (row_ptr[j] >= row_ptr[j + 1]) return false;
+    if (row_ptr[j] >= row_ptr[j + 1] || row_ptr[j + 1] > nnz) return false;
     for (std::size_t e = row_ptr[j]; e < row_ptr[j + 1]; ++e) {
       if (cols[e] >= in_size) return false;
       if (e > row_ptr[j] && cols[e - 1] >= cols[e]) return false;
     }
   }
   std::size_t cap_count = 0;
-  if (!(is >> token >> cap_count) || token != "edgecaps") return false;
-  if (cap_count != 0 && cap_count != nnz) return false;
-  std::vector<double> caps(cap_count);
-  for (double& cap : caps) {
-    if (!(is >> cap) || !(cap > 0.0) || !std::isfinite(cap)) return false;
+  std::vector<double> caps;
+  if (!(is >> token >> cap_count) || token != "edgecaps" ||
+      (cap_count != 0 && cap_count != nnz) ||
+      !read_values(is, cap_count, caps)) {
+    return false;
+  }
+  for (const double cap : caps) {
+    if (!(cap > 0.0) || !std::isfinite(cap)) return false;
   }
   topology.emplace(in_size, std::move(row_ptr), std::move(cols));
   if (!caps.empty()) topology->set_edge_capacities(std::move(caps));
@@ -139,28 +157,30 @@ std::optional<FeedForwardNetwork> load_network(std::istream& is) {
   if (!(is >> token >> layer_count) || token != "layers" || layer_count == 0) {
     return std::nullopt;
   }
-  std::vector<DenseLayer> hidden;
-  hidden.reserve(layer_count);
+  std::vector<DenseLayer> hidden;  // `layers` is a claim, not a size
   std::size_t prev = input_dim;
   for (std::size_t l = 0; l < layer_count; ++l) {
     std::size_t out_size = 0;
     std::size_t in_size = 0;
     std::size_t rf = 0;
     if (!(is >> token >> out_size >> in_size >> rf) || token != "layer" ||
-        out_size == 0 || in_size != prev || rf == 0 || rf > in_size) {
+        out_size == 0 || in_size != prev || rf == 0 || rf > in_size ||
+        out_size > std::numeric_limits<std::size_t>::max() / in_size) {
       return std::nullopt;
     }
     std::optional<LayerTopology> topology;
     if (v2 && !load_adjacency(is, out_size, in_size, topology)) {
       return std::nullopt;
     }
+    std::vector<double> weights;
+    std::vector<double> bias;
+    if (!read_values(is, out_size * in_size, weights) ||
+        !read_values(is, out_size, bias)) {
+      return std::nullopt;
+    }
     DenseLayer layer(out_size, in_size);
-    for (double& w : layer.weights().flat()) {
-      if (!(is >> w)) return std::nullopt;
-    }
-    for (double& b : layer.bias()) {
-      if (!(is >> b)) return std::nullopt;
-    }
+    std::copy(weights.begin(), weights.end(), layer.weights().flat().begin());
+    std::copy(bias.begin(), bias.end(), layer.bias().begin());
     layer.set_receptive_field(rf);
     if (topology) {
       // set_topology re-masks and re-derives the receptive field, so a
@@ -174,10 +194,8 @@ std::optional<FeedForwardNetwork> load_network(std::istream& is) {
   if (!(is >> token >> out_count) || token != "output" || out_count != prev) {
     return std::nullopt;
   }
-  std::vector<double> output_weights(out_count);
-  for (double& w : output_weights) {
-    if (!(is >> w)) return std::nullopt;
-  }
+  std::vector<double> output_weights;
+  if (!read_values(is, out_count, output_weights)) return std::nullopt;
   double output_bias = 0.0;
   if (!(is >> token >> output_bias) || token != "output_bias") {
     return std::nullopt;

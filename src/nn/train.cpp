@@ -45,6 +45,7 @@ struct BackpropScratch {
   std::vector<std::vector<double>> acts;      // y^(0..L) post-dropout
   std::vector<std::vector<double>> masks;     // inverted-dropout scale per unit
   std::vector<std::vector<double>> deltas;    // dL/ds^(l)
+  Workspace ws;                               // the forward pass's buffers
 };
 
 /// Forward pass with inverted dropout; fills scratch, returns the output.
@@ -58,28 +59,27 @@ double forward_train(const FeedForwardNetwork& net,
   scratch.deltas.resize(depth);
   scratch.acts[0].assign(x.begin(), x.end());
   const double keep = 1.0 - dropout;
-  for (std::size_t l = 1; l <= depth; ++l) {
-    const auto& layer = net.layer(l);
-    auto& s = scratch.preacts[l - 1];
-    auto& y = scratch.acts[l];
+  ForwardHooks hooks;
+  hooks.pre_activation = [&scratch](std::size_t l, std::span<const double>,
+                                    std::span<double> s) {
+    if (l <= scratch.preacts.size()) {  // l = L+1 is the output node
+      scratch.preacts[l - 1].assign(s.begin(), s.end());
+    }
+  };
+  hooks.post_activation = [&](std::size_t l, std::span<double> y) {
     auto& mask = scratch.masks[l - 1];
-    s.resize(layer.out_size());
-    y.resize(layer.out_size());
-    mask.assign(layer.out_size(), 1.0);
-    layer.affine(scratch.acts[l - 1], s);
-    for (std::size_t j = 0; j < s.size(); ++j) {
-      y[j] = net.activation().value(s[j]);
-      if (dropout > 0.0) {
+    mask.assign(y.size(), 1.0);
+    if (dropout > 0.0) {
+      for (std::size_t j = 0; j < y.size(); ++j) {
         // Inverted dropout: zero with probability `dropout`, otherwise
         // scale by 1/keep so the expected activation is unchanged.
         mask[j] = rng.bernoulli(dropout) ? 0.0 : 1.0 / keep;
         y[j] *= mask[j];
       }
     }
-  }
-  return dot({scratch.acts[depth].data(), scratch.acts[depth].size()},
-             {net.output_weights().data(), net.output_weights().size()}) +
-         net.output_bias();
+    scratch.acts[l].assign(y.begin(), y.end());
+  };
+  return net.evaluate_hooked(x, hooks, scratch.ws);
 }
 
 /// Accumulates dLoss/dparams for one sample into `grads`.

@@ -20,26 +20,12 @@ double Matrix::max_abs() const {
   return best;
 }
 
-double Matrix::frobenius_norm() const {
-  double sum = 0.0;
-  for (double value : data_) sum += value * value;
-  return std::sqrt(sum);
-}
-
 bool Matrix::approx_equal(const Matrix& other, double tol) const {
   if (rows_ != other.rows_ || cols_ != other.cols_) return false;
   for (std::size_t i = 0; i < data_.size(); ++i) {
     if (std::fabs(data_[i] - other.data_[i]) > tol) return false;
   }
   return true;
-}
-
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  }
-  return t;
 }
 
 }  // namespace wnf

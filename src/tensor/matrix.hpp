@@ -59,14 +59,8 @@ class Matrix {
   /// Largest |entry|; 0 for an empty matrix. This is the paper's w^(l)_m.
   double max_abs() const;
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
   /// Element-wise comparison within `tol`.
   bool approx_equal(const Matrix& other, double tol) const;
-
-  /// Transposed copy.
-  Matrix transposed() const;
 
  private:
   std::size_t rows_ = 0;

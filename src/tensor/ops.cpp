@@ -139,22 +139,6 @@ void gemv_transposed(const Matrix& a, std::span<const double> x,
   }
 }
 
-void gemm(const Matrix& a, const Matrix& b, Matrix& c) {
-  WNF_EXPECTS(a.cols() == b.rows());
-  c = Matrix(a.rows(), b.cols());
-  // i-k-j loop order keeps the inner loop contiguous in both B and C.
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const auto a_row = a.row(i);
-    const auto c_row = c.row(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a_row[k];
-      if (aik == 0.0) continue;
-      const auto b_row = b.row(k);
-      for (std::size_t j = 0; j < b.cols(); ++j) c_row[j] += aik * b_row[j];
-    }
-  }
-}
-
 void rank1_update(Matrix& a, double alpha, std::span<const double> x,
                   std::span<const double> y) {
   WNF_EXPECTS(x.size() == a.rows());
@@ -174,21 +158,10 @@ double dot(std::span<const double> x, std::span<const double> y) {
   return sum;
 }
 
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  WNF_EXPECTS(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
 double max_abs(std::span<const double> x) {
   double best = 0.0;
   for (double value : x) best = std::max(best, std::fabs(value));
   return best;
-}
-
-double norm2(std::span<const double> x) {
-  double sum = 0.0;
-  for (double value : x) sum += value * value;
-  return std::sqrt(sum);
 }
 
 }  // namespace wnf

@@ -1,14 +1,15 @@
 // Dense kernels used by the forward/backward passes. gemv is the hot path
-// (one per layer per input); gemm backs mini-batch training.
+// (one per layer per input).
 //
 // Kernel invariant: gemv and gemv_csr compute each output row as one sum
 // that starts at 0.0 and adds w * x over the row's columns (or CSR edges)
-// left to right, one rounded multiply and one rounded add per term (no
-// fused multiply-add: x86-64 builds without -march never contract them).
-// Rows are computed four at a time with independent accumulators for speed,
-// which never changes any row's summation order, so outputs are
-// bit-identical to the one-row-at-a-time loop and CSR stays bit-identical
-// to dense.
+// left to right, one rounded multiply and one rounded add per term. No
+// fused multiply-add: the `wnf` target compiles with -ffp-contract=off
+// (PUBLIC, so every consumer inherits it), because GCC otherwise contracts
+// `s += w * x` into an FMA on any -march that has one. Rows are computed
+// four at a time with independent accumulators for speed, which never
+// changes any row's summation order, so outputs are bit-identical to the
+// one-row-at-a-time loop and CSR stays bit-identical to dense.
 #pragma once
 
 #include <span>
@@ -36,9 +37,6 @@ void gemv_csr(const Matrix& a, std::span<const std::size_t> row_ptr,
 void gemv_transposed(const Matrix& a, std::span<const double> x,
                      std::span<double> y);
 
-/// C = A * B. Requires a.cols() == b.rows(); resizes c to a.rows() x b.cols().
-void gemm(const Matrix& a, const Matrix& b, Matrix& c);
-
 /// A += alpha * x * y^T (rank-1 update; the backprop weight-gradient step).
 void rank1_update(Matrix& a, double alpha, std::span<const double> x,
                   std::span<const double> y);
@@ -46,13 +44,7 @@ void rank1_update(Matrix& a, double alpha, std::span<const double> x,
 /// dot(x, y); sizes must match.
 double dot(std::span<const double> x, std::span<const double> y);
 
-/// y += alpha * x; sizes must match.
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
-
 /// max_i |x_i| (0 for empty).
 double max_abs(std::span<const double> x);
-
-/// Euclidean norm.
-double norm2(std::span<const double> x);
 
 }  // namespace wnf

@@ -101,13 +101,4 @@ void parallel_for(std::size_t begin, std::size_t end,
   parallel_for(ThreadPool::global(), begin, end, body);
 }
 
-double parallel_sum(ThreadPool& pool, std::size_t n,
-                    const std::function<double(std::size_t)>& body) {
-  std::vector<double> partial(n, 0.0);
-  parallel_for(pool, 0, n, [&](std::size_t i) { partial[i] = body(i); });
-  double total = 0.0;
-  for (double value : partial) total += value;
-  return total;
-}
-
 }  // namespace wnf

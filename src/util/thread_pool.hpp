@@ -70,9 +70,4 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
 
-/// Maps `body(i) -> double` over [0, n) and sums the results; the reduction
-/// order is fixed (by index) so results are deterministic.
-double parallel_sum(ThreadPool& pool, std::size_t n,
-                    const std::function<double(std::size_t)>& body);
-
 }  // namespace wnf

@@ -1,9 +1,9 @@
 // Property suite for the distributed substrate: over randomized topologies,
 // latencies and MIXED fault plans (crash + Byzantine + stuck-at neurons,
 // crash + Byzantine synapses), the message-passing simulator and the
-// matrix-path Injector must agree exactly, the batched gemm path must match
-// the per-sample path, and the conv-aware bound must stay sound on conv
-// topologies.
+// matrix-path Injector must agree bit for bit, the nominal simulator must
+// match the per-sample forward pass bit for bit, and the conv-aware bound
+// must stay sound on conv topologies.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,10 +15,8 @@
 #include "dist/sim.hpp"
 #include "fault/adversary.hpp"
 #include "fault/injector.hpp"
-#include "nn/batch.hpp"
 #include "nn/builder.hpp"
 #include "nn/conv.hpp"
-#include "nn/loss.hpp"
 
 namespace wnf {
 namespace {
@@ -104,7 +102,7 @@ TEST(SimEquivalence, MixedFaultPlansMatchInjectorExactly) {
   }
 }
 
-TEST(SimEquivalence, NominalAgreesWithBatchedAndPerSamplePaths) {
+TEST(SimEquivalence, NominalAgreesWithPerSamplePath) {
   Rng rng(777);
   for (int round = 0; round < 25; ++round) {
     const auto net = random_net(rng);
@@ -113,30 +111,12 @@ TEST(SimEquivalence, NominalAgreesWithBatchedAndPerSamplePaths) {
     for (int n = 0; n < 8; ++n) {
       inputs.push_back({rng.uniform(), rng.uniform()});
     }
-    const auto batched = nn::evaluate_batch(net, inputs);
     nn::Workspace ws;
     for (std::size_t n = 0; n < inputs.size(); ++n) {
       const double per_sample = net.evaluate(inputs[n], ws);
-      EXPECT_NEAR(batched[n], per_sample, 1e-11);
       EXPECT_EQ(bits(sim.evaluate(inputs[n]).output), bits(per_sample));
     }
   }
-}
-
-TEST(BatchEval, LossEstimatorsMatchScalarPath) {
-  Rng rng(31);
-  const auto net = random_net(rng);
-  const auto target = data::make_sine_ridge(2);
-  const auto dataset = data::sample_uniform(target, 64, rng);
-  EXPECT_NEAR(nn::mse_batch(net, dataset), nn::mse(net, dataset), 1e-11);
-  EXPECT_NEAR(nn::sup_error_batch(net, dataset), nn::sup_error(net, dataset),
-              1e-11);
-}
-
-TEST(BatchEval, EmptyInputGivesEmptyOutput) {
-  Rng rng(37);
-  const auto net = random_net(rng);
-  EXPECT_TRUE(nn::evaluate_batch(net, {}).empty());
 }
 
 TEST(ConvProperty, ConvAwareBoundSoundOnRandomConvTopologies) {

@@ -6,8 +6,13 @@
 // at.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "nn/builder.hpp"
 #include "nn/layer.hpp"
@@ -18,6 +23,21 @@
 
 namespace wnf::nn {
 namespace {
+
+/// The v1 text of SerializeV1.DenseGoldenTextIsByteIdentical's network.
+const std::string kGoldenV1 =
+    "wnf-network v1\n"
+    "activation sigmoid 0.25\n"
+    "input_dim 2\n"
+    "layers 1\n"
+    "layer 2 2 2\n"
+    "0.5 -0.25\n"
+    "1 0\n"
+    "0.125 -1\n"
+    "output 2\n"
+    "2 -0.5\n"
+    "output_bias 0.75\n"
+    "end\n";
 
 /// A random architecture: depth, widths, receptive fields, activation
 /// kind and K, and every parameter drawn from `rng`.
@@ -128,6 +148,16 @@ TEST(Serialize, RejectsMalformedText) {
   std::string bad_number = good;
   bad_number.replace(bad_number.find("layers "), 8, "layers x");
   EXPECT_TRUE(rejects(bad_number));
+
+  // Counts far beyond the text are refused, not allocated (the first two
+  // threw std::bad_alloc); the last width's weight count overflows size_t.
+  const auto lying = [&](const std::string& from, const std::string& to) {
+    std::string doc = kGoldenV1;
+    return rejects(doc.replace(doc.find(from), from.size(), to));
+  };
+  EXPECT_TRUE(lying("layers 1", "layers 100000000000"));
+  EXPECT_TRUE(lying("layer 2 2 2", "layer 100000000000 2 2"));
+  EXPECT_TRUE(lying("layer 2 2 2", "layer 9223372036854775808 2 2"));
 }
 
 /// random_network with a sparse topology (and sometimes per-edge channel
@@ -191,26 +221,29 @@ TEST(SerializeV2, RoundTripsSparseTopologiesBitForBit) {
   EXPECT_GT(sparse_docs, 10);  // the property test actually exercised v2
 }
 
+/// A minimal well-formed v2 document: one 2x2 layer with three edges.
+const std::string kSparseV2 =
+    "wnf-network v2\n"
+    "activation sigmoid 1\n"
+    "input_dim 2\n"
+    "layers 1\n"
+    "layer 2 2 2\n"
+    "adjacency sparse 3\n"
+    "rowptr 0 2 3\n"
+    "cols 0 1 1\n"
+    "edgecaps 0\n"
+    "1 0.5\n"
+    "0 0.25\n"
+    "0.125 -1\n"
+    "output 2\n"
+    "2 -0.5\n"
+    "output_bias 0.75\n"
+    "end\n";
+
 TEST(SerializeV2, RejectsMalformedAdjacency) {
-  // A minimal well-formed v2 document, then one surgical corruption per
-  // case. The loader must return nullopt — never abort on a contract.
-  const std::string good =
-      "wnf-network v2\n"
-      "activation sigmoid 1\n"
-      "input_dim 2\n"
-      "layers 1\n"
-      "layer 2 2 2\n"
-      "adjacency sparse 3\n"
-      "rowptr 0 2 3\n"
-      "cols 0 1 1\n"
-      "edgecaps 0\n"
-      "1 0.5\n"
-      "0 0.25\n"
-      "0.125 -1\n"
-      "output 2\n"
-      "2 -0.5\n"
-      "output_bias 0.75\n"
-      "end\n";
+  // The minimal v2 document, then one surgical corruption per case. The
+  // loader must return nullopt — never abort on a contract.
+  const std::string& good = kSparseV2;
   {
     std::istringstream in(good);
     const auto loaded = load_network(in);
@@ -236,6 +269,12 @@ TEST(SerializeV2, RejectsMalformedAdjacency) {
   rejects("rowptr 0 2 3", "rowptr 0 2 4");               // must end at nnz
   rejects("rowptr 0 2 3", "rowptr 0 3 3");               // empty row 1
   rejects("rowptr 0 2 3", "rowptr 0 0 3");               // empty row 0
+  // Row 0 claims five edges of three, the first three valid: reading on
+  // into `cols` was a heap overflow (caught under ASan).
+  rejects("input_dim 2\nlayers 1\nlayer 2 2 2\nadjacency sparse 3\n"
+          "rowptr 0 2 3\ncols 0 1 1\nedgecaps 0\n1 0.5\n0 0.25",
+          "input_dim 4\nlayers 1\nlayer 2 4 4\nadjacency sparse 3\n"
+          "rowptr 0 5 3\ncols 0 1 2\nedgecaps 0\n1 0.5 1 1\n0 0.25 1 1");
   rejects("cols 0 1 1", "cols 1 0 1");                   // unsorted row 0
   rejects("cols 0 1 1", "cols 0 0 1");                   // duplicate col
   rejects("cols 0 1 1", "cols 0 2 1");                   // col out of range
@@ -246,6 +285,10 @@ TEST(SerializeV2, RejectsMalformedAdjacency) {
   // A v1 header cannot carry an adjacency section: the weight parser sees
   // the token and fails.
   rejects("wnf-network v2", "wnf-network v1");
+  // A width or nnz far beyond the text is refused, not allocated (the width
+  // threw std::bad_alloc).
+  rejects("layer 2 2 2", "layer 10000000000 2 2");
+  rejects("adjacency sparse 3", "adjacency sparse 100000000000");
 }
 
 TEST(SerializeV1, DenseGoldenTextIsByteIdentical) {
@@ -265,19 +308,90 @@ TEST(SerializeV1, DenseGoldenTextIsByteIdentical) {
                                Activation(ActivationKind::kSigmoid, 0.25));
   std::stringstream text;
   save_network(net, text);
-  EXPECT_EQ(text.str(),
-            "wnf-network v1\n"
-            "activation sigmoid 0.25\n"
-            "input_dim 2\n"
-            "layers 1\n"
-            "layer 2 2 2\n"
-            "0.5 -0.25\n"
-            "1 0\n"
-            "0.125 -1\n"
-            "output 2\n"
-            "2 -0.5\n"
-            "output_bias 0.75\n"
-            "end\n");
+  EXPECT_EQ(text.str(), kGoldenV1);
+}
+
+/// One seeded mutation of `doc`: a byte flip, a truncation, digits added to
+/// an integer token, a dropped or duplicated token, or a splice of `other`.
+std::string mutate(std::string doc, const std::string& other, Rng& rng) {
+  if (doc.empty()) return other;
+  const char* const space = " \t\n\v\f\r";
+  std::vector<std::pair<std::size_t, std::size_t>> tokens;  // [begin, end)
+  for (std::size_t at = doc.find_first_not_of(space); at != std::string::npos;
+       at = doc.find_first_not_of(space, tokens.back().second)) {
+    tokens.emplace_back(at, std::min(doc.find_first_of(space, at), doc.size()));
+  }
+  const auto [begin, end] = tokens.empty()
+                                ? std::pair<std::size_t, std::size_t>{0, 0}
+                                : tokens[rng.uniform_index(tokens.size())];
+  const std::string token = doc.substr(begin, end - begin);
+  const std::size_t at = rng.uniform_index(doc.size());
+  switch (rng.uniform_index(6)) {
+    case 0:  // byte flip: a format character or any byte at all
+      doc[at] = rng.bernoulli(0.5) ? "0123456789.-+e \nx"[rng.uniform_index(17)]
+                                   : static_cast<char>(rng.uniform_index(256));
+      break;
+    case 1:
+      doc.resize(at);
+      break;
+    case 2:
+      if (!token.empty() && token.find_first_not_of("0123456789") ==
+                                std::string::npos) {
+        doc.insert(end, std::to_string(rng.uniform_index(1000000000000)));
+      }
+      break;
+    case 3:
+      doc.erase(begin, end - begin);
+      break;
+    case 4:
+      doc.insert(end, " " + token);
+      break;
+    default: {
+      const std::size_t from = rng.uniform_index(other.size());
+      doc.replace(at, rng.uniform_index(doc.size() - at + 1),
+                  other.substr(from, rng.uniform_index(other.size() - from)));
+    }
+  }
+  return doc;
+}
+
+TEST(Serialize, SeededMutationsNeverAbortAndReloadToAFixedPoint) {
+  // Seeded mutants of the v1 golden text and of a v2 document with per-edge
+  // capacities. Whatever the loader makes of one, it returns (no abort, no
+  // exception, no out-of-bounds read under ASan), and whatever it accepts
+  // saves to text that loads and saves to the same bytes.
+  std::string capped = kSparseV2;
+  capped.replace(capped.find("edgecaps 0"), 10, "edgecaps 3 0.5 1.25 2");
+  const std::string seeds[2] = {kGoldenV1, capped};
+  const auto load = [](const std::string& text) {
+    std::istringstream in(text);
+    return load_network(in);
+  };
+  const auto save = [](const FeedForwardNetwork& net) {
+    std::ostringstream out;
+    save_network(net, out);
+    return out.str();
+  };
+  ASSERT_TRUE(load(seeds[0]).has_value() && load(seeds[1]).has_value());
+  Rng rng(0xF022);
+  int accepted = 0;
+  for (int trial = 0; trial < 12000; ++trial) {
+    const std::size_t pick = rng.uniform_index(2);
+    std::string doc = seeds[pick];
+    for (std::size_t n = 1 + rng.uniform_index(3); n > 0; --n) {
+      doc = mutate(doc, seeds[1 - pick], rng);
+    }
+    std::optional<FeedForwardNetwork> loaded;
+    EXPECT_NO_THROW(loaded = load(doc)) << doc;
+    if (!loaded) continue;
+    ++accepted;
+    const std::string first = save(*loaded);
+    const auto reloaded = load(first);
+    ASSERT_TRUE(reloaded.has_value()) << doc;
+    EXPECT_EQ(save(*reloaded), first) << doc;
+  }
+  // The mutants reach the accepting path, not only the rejecting one.
+  EXPECT_GT(accepted, 200);
 }
 
 }  // namespace

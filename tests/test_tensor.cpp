@@ -1,4 +1,4 @@
-// Unit tests for src/tensor: matrix storage and the gemv/gemm kernels,
+// Unit tests for src/tensor: matrix storage and the gemv kernels,
 // including bit-for-bit pins of the row-blocked gemv / gemv_csr against a
 // one-row-at-a-time reference and of whole forward passes built on them.
 #include <gtest/gtest.h>
@@ -113,26 +113,12 @@ TEST(Matrix, MaxAbs) {
   EXPECT_EQ(Matrix().max_abs(), 0.0);
 }
 
-TEST(Matrix, FrobeniusNorm) {
-  Matrix m{{3.0, 4.0}};
-  EXPECT_DOUBLE_EQ(m.frobenius_norm(), 5.0);
-}
-
 TEST(Matrix, ApproxEqual) {
   Matrix a{{1.0, 2.0}};
   Matrix b{{1.0, 2.0 + 1e-9}};
   EXPECT_TRUE(a.approx_equal(b, 1e-8));
   EXPECT_FALSE(a.approx_equal(b, 1e-10));
   EXPECT_FALSE(a.approx_equal(Matrix(2, 1), 1.0));
-}
-
-TEST(Matrix, Transposed) {
-  Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const Matrix t = m.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_EQ(t(2, 1), 6.0);
-  EXPECT_EQ(t(0, 0), 1.0);
 }
 
 TEST(Ops, GemvKnownValues) {
@@ -150,40 +136,15 @@ TEST(Ops, GemvTransposedMatchesExplicitTranspose) {
   for (double& v : a.flat()) v = rng.normal();
   std::vector<double> x(7);
   for (double& v : x) v = rng.normal();
+  Matrix transposed(5, 7);
+  for (std::size_t r = 0; r < 7; ++r) {
+    for (std::size_t c = 0; c < 5; ++c) transposed(c, r) = a(r, c);
+  }
   std::vector<double> expect(5);
-  gemv(a.transposed(), x, expect);
+  gemv(transposed, x, expect);
   std::vector<double> got(5);
   gemv_transposed(a, x, got);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(got[i], expect[i], 1e-12);
-}
-
-TEST(Ops, GemmKnownValues) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  Matrix b{{5.0, 6.0}, {7.0, 8.0}};
-  Matrix c;
-  gemm(a, b, c);
-  EXPECT_DOUBLE_EQ(c(0, 0), 19.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
-}
-
-TEST(Ops, GemmMatchesGemvColumns) {
-  Rng rng(9);
-  Matrix a(4, 6);
-  Matrix b(6, 3);
-  for (double& v : a.flat()) v = rng.normal();
-  for (double& v : b.flat()) v = rng.normal();
-  Matrix c;
-  gemm(a, b, c);
-  // Column j of C equals A * (column j of B).
-  for (std::size_t j = 0; j < 3; ++j) {
-    std::vector<double> col(6);
-    for (std::size_t k = 0; k < 6; ++k) col[k] = b(k, j);
-    std::vector<double> expect(4);
-    gemv(a, col, expect);
-    for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(c(i, j), expect[i], 1e-12);
-  }
 }
 
 TEST(Ops, GemvBitIdenticalToRowAtATimeReference) {
@@ -315,16 +276,12 @@ TEST(Ops, Rank1Update) {
   EXPECT_DOUBLE_EQ(a(1, 1), 1.0 + 0.5 * 2.0 * 4.0);
 }
 
-TEST(Ops, DotAxpyNormMax) {
+TEST(Ops, DotAndMaxAbs) {
   std::vector<double> x{1.0, -2.0, 3.0};
   std::vector<double> y{4.0, 5.0, -6.0};
   EXPECT_DOUBLE_EQ(dot(x, y), 4.0 - 10.0 - 18.0);
-  axpy(2.0, x, y);
-  EXPECT_DOUBLE_EQ(y[0], 6.0);
-  EXPECT_DOUBLE_EQ(y[1], 1.0);
-  EXPECT_DOUBLE_EQ(y[2], 0.0);
   EXPECT_DOUBLE_EQ(max_abs(x), 3.0);
-  EXPECT_DOUBLE_EQ(norm2(std::vector<double>{3.0, 4.0}), 5.0);
+  EXPECT_DOUBLE_EQ(max_abs(std::vector<double>{}), 0.0);
 }
 
 }  // namespace

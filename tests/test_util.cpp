@@ -216,13 +216,6 @@ TEST(ParallelFor, NestedCallsCoverEveryPairExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ParallelSum, MatchesSerialSum) {
-  ThreadPool pool(4);
-  const double total =
-      parallel_sum(pool, 1000, [](std::size_t i) { return double(i); });
-  EXPECT_DOUBLE_EQ(total, 999.0 * 1000.0 / 2.0);
-}
-
 TEST(Accumulator, BasicMoments) {
   Accumulator acc;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.add(x);
