@@ -8,8 +8,11 @@
 // transport's included, where fork exists) matches the sequential default.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "exec/injector_backend.hpp"
@@ -298,6 +301,162 @@ TEST(Campaign, ServeBackendBitIdenticalAcrossWorkerCounts) {
     EXPECT_DOUBLE_EQ(campaigns[r].per_trial_worst.stddev,
                      campaigns[0].per_trial_worst.stddev);
   }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Golden bits of one campaign summary: observed_max, the per-trial worst
+/// count/min/mean/max, and the Fep bound (0 where the call has none).
+struct PinnedSummary {
+  std::uint64_t observed_max;
+  std::size_t count;
+  std::uint64_t min;
+  std::uint64_t mean;
+  std::uint64_t max;
+  std::uint64_t fep_bound;
+};
+
+void expect_pinned(double observed_max, const Summary& worst,
+                   double fep_bound, const PinnedSummary& golden,
+                   const std::string& what) {
+  EXPECT_EQ(bits(observed_max), golden.observed_max)
+      << what << " observed_max 0x" << std::hex << bits(observed_max);
+  EXPECT_EQ(worst.count, golden.count) << what;
+  EXPECT_EQ(bits(worst.min), golden.min)
+      << what << " min 0x" << std::hex << bits(worst.min);
+  EXPECT_EQ(bits(worst.mean), golden.mean)
+      << what << " mean 0x" << std::hex << bits(worst.mean);
+  EXPECT_EQ(bits(worst.max), golden.max)
+      << what << " max 0x" << std::hex << bits(worst.max);
+  EXPECT_EQ(bits(fep_bound), golden.fep_bound)
+      << what << " fep_bound 0x" << std::hex << bits(fep_bound);
+}
+
+void expect_pinned(const fault::CampaignResult& result,
+                   const PinnedSummary& golden, const std::string& what) {
+  expect_pinned(result.observed_max, result.per_trial_worst,
+                result.fep_bound, golden, what);
+}
+
+/// 3 -> 8 -> 7 -> 5: three hidden layers, so every family faults more than
+/// one layer and the synapse family reaches the output set.
+nn::FeedForwardNetwork pinned_net() {
+  Rng rng(83);
+  return nn::NetworkBuilder(3)
+      .activation(nn::ActivationKind::kSigmoid, 1.0)
+      .hidden(8)
+      .hidden(7)
+      .hidden(5)
+      .init(nn::InitKind::kUniform, 0.6)
+      .build(rng);
+}
+
+TEST(Campaign, ResultBitsPinnedOnEveryCampaignEntryPoint) {
+  // Golden CampaignResult bits for run_campaign on the Injector, the
+  // simulator and the serving pool (the latter two under heavy-tail
+  // latencies and a straggler cut, so the latency draws reach the result),
+  // for cross_check_campaign of the Injector against the pool on the
+  // crash, Byzantine and synapse families, and for a timeline campaign on
+  // the pool.
+  const auto net = pinned_net();
+  const dist::LatencyModel latency{dist::LatencyKind::kHeavyTail, 1.0, 50.0,
+                                   0.3};
+  const std::vector<std::size_t> cut{2, 2, 1};
+
+  fault::CampaignConfig config;
+  config.attack = fault::AttackKind::kRandomByzantine;
+  config.trials = 9;
+  config.probes_per_trial = 5;
+  config.capacity = 1.0;
+  config.convention = theory::CapacityConvention::kTransmittedValueBound;
+  config.seed = 89;
+  theory::FepOptions byzantine = options_for(config.attack);
+  byzantine.convention = config.convention;
+  const std::vector<std::size_t> counts{1, 1, 1};
+
+  InjectorBackend injector(net);
+  SimulatorBackendOptions simulator_options;
+  simulator_options.latency = latency;
+  simulator_options.straggler_cut = cut;
+  simulator_options.latency_seed = 97;
+  SimulatorBackend simulator(net, simulator_options);
+  ServeBackendOptions serve_options;
+  serve_options.replicas = 2;
+  serve_options.latency = latency;
+  serve_options.straggler_cut = cut;
+  serve_options.seed = 101;
+  ServeBackend serve_with_cut(net, serve_options);
+
+  const PinnedSummary run_golden[3] = {
+      {0x3feaeed40a50766cull, 9, 0x3fb365322a751810ull, 0x3fdc9f6162cc60f6ull,
+       0x3feaeed40a50766cull, 0x4024ebea77b20d5full},
+      {0x3ff0da33dc1c99d5ull, 9, 0x3fd724257a6ed204ull, 0x3fe64756c7b0f571ull,
+       0x3ff0da33dc1c99d5ull, 0x4024ebea77b20d5full},
+      {0x3ff3e78c9afd749aull, 9, 0x3fd8b0a0359e10e8ull, 0x3fe70fc6e9962d30ull,
+       0x3ff3e78c9afd749aull, 0x4024ebea77b20d5full},
+  };
+  const std::vector<EvalBackend*> backends{&injector, &simulator,
+                                           &serve_with_cut};
+  for (std::size_t b = 0; b < backends.size(); ++b) {
+    expect_pinned(
+        fault::run_campaign(net, counts, config, byzantine, *backends[b]),
+        run_golden[b], std::string("run_campaign on ") +
+                           std::string(backends[b]->name()));
+  }
+
+  // Cross-checks: no cut, so the pool must agree with the Injector.
+  serve_options.straggler_cut.clear();
+  ServeBackend serve(net, serve_options);
+  theory::FepOptions crash = options_for(fault::AttackKind::kRandomCrash);
+  struct Family {
+    fault::AttackKind attack;
+    std::vector<std::size_t> counts;
+    theory::FepOptions fep;
+    PinnedSummary golden;  ///< both sides of the cross-check
+  };
+  const Family families[3] = {
+      {fault::AttackKind::kRandomCrash, {2, 2, 2}, crash,
+       {0x3fe7e7d4a4e5b888ull, 9, 0x3fabc1e341e59060ull,
+        0x3fd9a0a5b17e9b7aull, 0x3fe7e7d4a4e5b888ull, 0x401c8ddcc6a134a3ull}},
+      {fault::AttackKind::kRandomByzantine, {1, 1, 1}, byzantine,
+       {0x3feaeed40a50766cull, 9, 0x3fb365322a751810ull,
+        0x3fdc9f6162cc60f6ull, 0x3feaeed40a50766cull, 0x4024ebea77b20d5full}},
+      {fault::AttackKind::kRandomSynapseByzantine, {2, 2, 2, 1}, byzantine,
+       {0x3fe6374ff3c6ed2dull, 9, 0x3fc37c824ddd2c1cull,
+        0x3fdc22b172d75739ull, 0x3fe6374ff3c6ed2dull, 0x4031c7366153bfdbull}},
+  };
+  for (const Family& family : families) {
+    config.attack = family.attack;
+    const auto check = fault::cross_check_campaign(
+        net, family.counts, config, family.fep, injector, serve);
+    const std::string what =
+        "cross-check attack " + std::to_string(static_cast<int>(family.attack));
+    EXPECT_EQ(check.max_divergence, 0.0) << what;
+    expect_pinned(check.first, family.golden, what + " injector");
+    expect_pinned(check.second, family.golden, what + " serve");
+  }
+
+  fault::FaultPlan crash_plan;
+  crash_plan.convention = theory::CapacityConvention::kTransmittedValueBound;
+  crash_plan.neurons = {{1, 3, fault::NeuronFaultKind::kCrash, 0.0},
+                        {2, 0, fault::NeuronFaultKind::kCrash, 0.0}};
+  fault::FaultPlan byzantine_plan;
+  byzantine_plan.convention = crash_plan.convention;
+  byzantine_plan.neurons = {{3, 2, fault::NeuronFaultKind::kByzantine, 0.7}};
+  serve::FaultTimeline timeline;
+  timeline.add(2, 6, crash_plan);
+  timeline.add(4, serve::FaultTimeline::kForever, byzantine_plan);
+  fault::TimelineCampaignConfig timeline_config;
+  timeline_config.trials = 10;
+  timeline_config.probes_per_trial = 4;
+  timeline_config.seed = 103;
+  const auto on_serve = fault::run_timeline_campaign(net, timeline,
+                                                     timeline_config, serve);
+  EXPECT_EQ(on_serve.faulty_trials, 8u);
+  expect_pinned(on_serve.observed_max, on_serve.per_trial_worst, 0.0,
+                {0x3fa58e717f61f0b0ull, 10, 0, 0x3f9301bd8e19ae03ull,
+                 0x3fa58e717f61f0b0ull, 0},
+                "timeline on serve");
 }
 
 TEST(Campaign, BackendOverloadReproducesLegacyInjectorCampaign) {
