@@ -39,7 +39,8 @@ struct LatencyModel {
 
   /// sample_layers into a caller-owned buffer: `out` is reshaped to
   /// `widths` and refilled, allocation-free once the shape matches (the
-  /// serving hot path). Draw order is identical to sample_layers.
+  /// serving hot path). Validates the model once per call; the draws equal
+  /// a loop of sample() in layer-major order, as sample_layers makes.
   void sample_layers_into(const std::vector<std::size_t>& widths, Rng& rng,
                           std::vector<std::vector<double>>& out) const;
 };

@@ -7,15 +7,23 @@
 
 namespace wnf::exec {
 
-void finish_trial(const nn::FeedForwardNetwork& net, const Trial& trial,
-                  TrialResult& result, nn::Workspace& ws) {
+void compute_nominal(const nn::FeedForwardNetwork& net, Trial& trial,
+                     nn::Workspace& ws) {
+  trial.nominal.resize(trial.probes.size());
+  for (std::size_t i = 0; i < trial.probes.size(); ++i) {
+    const auto& x = trial.probes[i];
+    trial.nominal[i] = net.evaluate({x.data(), x.size()}, ws);
+  }
+}
+
+void finish_trial(const Trial& trial, TrialResult& result) {
+  WNF_EXPECTS(trial.nominal.size() == trial.probes.size());
   WNF_ASSERT(result.probes.size() == trial.probes.size());
   result.worst_error = 0.0;
   for (std::size_t i = 0; i < trial.probes.size(); ++i) {
-    const auto& x = trial.probes[i];
-    const double clean = net.evaluate({x.data(), x.size()}, ws);
-    result.worst_error = std::max(result.worst_error,
-                                  std::fabs(clean - result.probes[i].output));
+    result.worst_error =
+        std::max(result.worst_error,
+                 std::fabs(trial.nominal[i] - result.probes[i].output));
   }
 }
 
@@ -36,7 +44,6 @@ double EvalBackend::worst_output_error(
 std::vector<TrialResult> EvalBackend::run_trials(
     std::span<const Trial> trials) {
   std::vector<TrialResult> results(trials.size());
-  nn::Workspace ws;
   for (std::size_t t = 0; t < trials.size(); ++t) {
     const Trial& trial = trials[t];
     install(trial.plan);
@@ -44,7 +51,7 @@ std::vector<TrialResult> EvalBackend::run_trials(
     for (const auto& x : trial.probes) {
       results[t].probes.push_back(evaluate({x.data(), x.size()}));
     }
-    finish_trial(network(), trial, results[t], ws);
+    finish_trial(trial, results[t]);
   }
   clear();
   return results;

@@ -26,18 +26,30 @@ struct ProbeResult {
   std::size_t resets_sent = 0;   ///< Section V-B reset-message accounting
 };
 
-/// One campaign trial: a fault configuration plus the probe inputs to
-/// evaluate under it. An empty plan is a fault-free trial.
+/// One campaign trial: a fault configuration, the probe inputs to evaluate
+/// under it, and each probe's fault-free output. An empty plan is a
+/// fault-free trial.
 struct Trial {
   fault::FaultPlan plan;
   std::vector<std::vector<double>> probes;
+  /// nominal[i] is the fault-free output of probes[i] on the network of the
+  /// backend that runs the trial, computed once when the trial stream is
+  /// built (compute_nominal) and shared by every backend that runs it.
+  /// Backends score against it and never run a fault-free pass of their
+  /// own; a trial without one nominal per probe is a contract violation.
+  std::vector<double> nominal;
 };
 
+/// Fills `trial.nominal` with `net`'s fault-free output for each of
+/// `trial.probes`, evaluated in the caller-owned `ws`.
+void compute_nominal(const nn::FeedForwardNetwork& net, Trial& trial,
+                     nn::Workspace& ws);
+
 /// Outcome of one trial: the damaged evaluation of every probe, plus the
-/// trial's worst absolute output error against the fault-free forward pass.
+/// trial's worst absolute output error against the trial's nominal outputs.
 struct TrialResult {
   std::vector<ProbeResult> probes;  ///< per-probe, in input order
-  double worst_error = 0.0;         ///< max_i |nominal(x_i) - probes[i].output|
+  double worst_error = 0.0;  ///< max_i |trial.nominal[i] - probes[i].output|
 };
 
 /// Interface over one fault-execution path, bound to one network (kept by
@@ -79,20 +91,22 @@ class EvalBackend {
   double worst_output_error(const fault::FaultPlan& plan,
                             std::span<const std::vector<double>> probes);
 
-  /// Runs every trial: installs its plan, evaluates its probes, computes the
-  /// worst error. The base implementation drives install/evaluate
-  /// sequentially; overrides parallelize, and must be deterministic in trial
-  /// order whatever the worker count or scheduling. Overrides may organize
-  /// their latency randomness differently from the serial evaluate path
-  /// (e.g. per-trial child streams instead of a per-probe split stream), so
-  /// the two paths are only guaranteed to coincide where results are
-  /// latency-independent — no straggler cut, or outputs compared only.
+  /// Runs every trial: installs its plan, evaluates its probes, and scores
+  /// them against the trial's nominal outputs (finish_trial). Returns one
+  /// TrialResult per trial and one ProbeResult per probe. The base
+  /// implementation drives install/evaluate sequentially; overrides
+  /// parallelize, and must be deterministic in trial order whatever the
+  /// worker count or scheduling. Overrides may organize their latency
+  /// randomness differently from the serial evaluate path (e.g. per-trial
+  /// child streams instead of a per-probe split stream), so the two paths
+  /// are only guaranteed to coincide where results are latency-independent
+  /// — no straggler cut, or outputs compared only.
   virtual std::vector<TrialResult> run_trials(std::span<const Trial> trials);
 };
 
-/// Shared summarisation: fills `result.worst_error` from `result.probes`
-/// against the fault-free outputs of `trial.probes`, evaluated in `ws`.
-void finish_trial(const nn::FeedForwardNetwork& net, const Trial& trial,
-                  TrialResult& result, nn::Workspace& ws);
+/// Shared scoring: sets `result.worst_error` to the max over probes of
+/// |trial.nominal[i] - result.probes[i].output|, in probe order. Runs no
+/// network. Requires one nominal per probe.
+void finish_trial(const Trial& trial, TrialResult& result);
 
 }  // namespace wnf::exec

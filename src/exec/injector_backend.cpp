@@ -1,8 +1,5 @@
 #include "exec/injector_backend.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/thread_pool.hpp"
 
 namespace wnf::exec {
@@ -29,15 +26,11 @@ std::vector<TrialResult> InjectorBackend::run_trials(
     const Trial& trial = trials[t];
     fault::Injector injector(net_);  // Injectors are not thread-safe
     results[t].probes.reserve(trial.probes.size());
-    double worst = 0.0;
     for (const auto& x : trial.probes) {
-      const double damaged = injector.damaged(trial.plan, {x.data(), x.size()});
-      worst = std::max(worst,
-                       std::fabs(injector.nominal({x.data(), x.size()}) -
-                                 damaged));
-      results[t].probes.push_back({damaged, 0.0, 0});
+      results[t].probes.push_back(
+          {injector.damaged(trial.plan, {x.data(), x.size()}), 0.0, 0});
     }
-    results[t].worst_error = worst;
+    finish_trial(trial, results[t]);
   });
   return results;
 }

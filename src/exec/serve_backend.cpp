@@ -5,7 +5,6 @@
 #include "obs/trace.hpp"
 #include "transport/host.hpp"
 #include "util/contract.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wnf::exec {
 namespace {
@@ -78,12 +77,11 @@ std::vector<TrialResult> ServeBackend::run_trials(
   // trial stream, so nothing is shed and prior calls leave no trace.
   serve::ReplicaPool pool(net_,
                           pool_config(options_, std::max<std::size_t>(total, 1)));
-  return serve_trial_stream(pool, net_, trials);
+  return serve_trial_stream(pool, trials);
 }
 
 template <typename Runtime>
 std::vector<TrialResult> serve_trial_stream(Runtime& runtime,
-                                            const nn::FeedForwardNetwork& net,
                                             std::span<const Trial> trials) {
   serve::FaultTimeline timeline;
   std::size_t total = 0;
@@ -117,19 +115,14 @@ std::vector<TrialResult> serve_trial_stream(Runtime& runtime,
                                    served[at].completion_time,
                                    served[at].resets_sent});
     }
+    finish_trial(trials[t], results[t]);
   }
-  parallel_for(0, trials.size(), [&](std::size_t t) {
-    nn::Workspace ws;
-    finish_trial(net, trials[t], results[t], ws);
-  });
   return results;
 }
 
-template std::vector<TrialResult> serve_trial_stream(
-    serve::ReplicaPool&, const nn::FeedForwardNetwork&,
-    std::span<const Trial>);
-template std::vector<TrialResult> serve_trial_stream(
-    transport::WorkerHost&, const nn::FeedForwardNetwork&,
-    std::span<const Trial>);
+template std::vector<TrialResult> serve_trial_stream(serve::ReplicaPool&,
+                                                     std::span<const Trial>);
+template std::vector<TrialResult> serve_trial_stream(transport::WorkerHost&,
+                                                     std::span<const Trial>);
 
 }  // namespace wnf::exec

@@ -54,21 +54,20 @@ class ServeBackend final : public EvalBackend {
   std::unique_ptr<serve::ReplicaPool> serial_pool_;  ///< lazily spawned
 };
 
-/// Runs `trials` as one trial stream on `runtime` and scores it; shared by
-/// ServeBackend and TransportBackend. `runtime` is an idle
-/// serve::ReplicaPool or transport::WorkerHost, bound with request ids from
-/// 0 and a queue that holds every probe. The stream is every trial's probes
-/// back to back as ids 0, 1, ...; a trial's non-empty plan becomes a
-/// timeline window over exactly its own ids. Submission and completion
-/// interleave through the async seam: the runtime starts on the head of the
-/// stream while the tail is still being submitted, poll() harvests whatever
-/// has finished, and wait() drains the rest — bit-identical to a
-/// synchronous submit-everything-then-drain. Every trial is then scored
-/// with finish_trial under parallel_for on the global pool, one
-/// nn::Workspace per trial, bit-identical to scoring on one thread.
+/// Runs `trials` as one trial stream on `runtime`; shared by ServeBackend
+/// and TransportBackend. `runtime` is an idle serve::ReplicaPool or
+/// transport::WorkerHost, bound with request ids from 0 and a queue that
+/// holds every probe. The stream is every trial's probes back to back as
+/// ids 0, 1, ...; a trial's non-empty plan becomes a timeline window over
+/// exactly its own ids. Submission and completion interleave through the
+/// async seam: the runtime starts on the head of the stream while the tail
+/// is still being submitted, poll() harvests whatever has finished, and
+/// wait() drains the rest — bit-identical to a synchronous
+/// submit-everything-then-drain. The stream itself does no scoring work:
+/// finish_trial takes each trial's worst error against the nominal outputs
+/// the trial carries, on the calling thread, with no forward pass.
 template <typename Runtime>
 std::vector<TrialResult> serve_trial_stream(Runtime& runtime,
-                                            const nn::FeedForwardNetwork& net,
                                             std::span<const Trial> trials);
 
 }  // namespace wnf::exec

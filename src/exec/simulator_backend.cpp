@@ -66,8 +66,7 @@ std::vector<TrialResult> SimulatorBackend::run_trials(
     for (const auto& x : trial.probes) {
       results[t].probes.push_back(run_probe(sim, rng, {x.data(), x.size()}));
     }
-    nn::Workspace ws;
-    finish_trial(net_, trial, results[t], ws);
+    finish_trial(trial, results[t]);
   });
   return results;
 }

@@ -106,7 +106,7 @@ std::vector<TrialResult> TransportBackend::run_trials(
   // The crash script fires at the same dispatch frontiers whether the
   // stream is pipelined or submitted whole, so it stays bit-identical.
   host.set_crash_script(options_.crash_script);
-  auto results = serve_trial_stream(host, net_, trials);
+  auto results = serve_trial_stream(host, trials);
   last_report_ = host.report();
   return results;
 }

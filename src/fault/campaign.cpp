@@ -55,6 +55,47 @@ double campaign_bound(const nn::FeedForwardNetwork& net,
              : theory::forward_error_propagation(prof, counts, fep_options);
 }
 
+/// The trial stream of `count` trials: trial t's RNG is the t-th split of
+/// `seed`; its probes are drawn first, `plan_of(t, probes, rng)` gives its
+/// plan, and its nominal outputs are computed last. Trials are built in
+/// parallel (plan search and the nominal pass are the expensive parts); the
+/// per-trial streams are split up front, so the result does not depend on
+/// scheduling.
+template <typename PlanOf>
+std::vector<exec::Trial> build_trials(const nn::FeedForwardNetwork& net,
+                                      std::size_t count,
+                                      std::size_t probes_per_trial,
+                                      std::uint64_t seed,
+                                      const PlanOf& plan_of) {
+  Rng seeder(seed);
+  std::vector<Rng> trial_rngs;
+  trial_rngs.reserve(count);
+  for (std::size_t t = 0; t < count; ++t) trial_rngs.push_back(seeder.split());
+
+  std::vector<exec::Trial> trials(count);
+  parallel_for(0, count, [&](std::size_t t) {
+    Rng rng = trial_rngs[t];
+    exec::Trial& trial = trials[t];
+    trial.probes = random_probes(probes_per_trial, net.input_dim(), rng);
+    trial.plan = plan_of(t, trial.probes, rng);
+    nn::Workspace ws;
+    exec::compute_nominal(net, trial, ws);
+  });
+  return trials;
+}
+
+/// backend.run_trials(trials), checked at the seam: one TrialResult per
+/// trial and one ProbeResult per probe.
+std::vector<exec::TrialResult> run_checked(
+    exec::EvalBackend& backend, std::span<const exec::Trial> trials) {
+  auto results = backend.run_trials(trials);
+  WNF_EXPECTS(results.size() == trials.size());
+  for (std::size_t t = 0; t < trials.size(); ++t) {
+    WNF_EXPECTS(results[t].probes.size() == trials[t].probes.size());
+  }
+  return results;
+}
+
 CampaignResult summarize_trials(std::span<const exec::TrialResult> results,
                                 double fep_bound) {
   CampaignResult result;
@@ -77,29 +118,14 @@ std::vector<exec::Trial> make_campaign_trials(
       config.attack == AttackKind::kRandomSynapseByzantine;
   WNF_EXPECTS(counts.size() == net.layer_count() + (synapse_attack ? 1 : 0));
 
-  // Per-trial RNG streams derived from the seed keep trials independent of
-  // thread scheduling (and of which backend later runs them).
-  Rng seeder(config.seed);
-  std::vector<Rng> trial_rngs;
-  trial_rngs.reserve(config.trials);
-  for (std::size_t t = 0; t < config.trials; ++t) {
-    trial_rngs.push_back(seeder.split());
-  }
-
   const std::vector<std::size_t> counts_copy(counts.begin(), counts.end());
-  std::vector<exec::Trial> trials(config.trials);
-  // Plan construction can be expensive (greedy search evaluates candidate
-  // victims over the probes), so it parallelises like the trials themselves.
-  parallel_for(0, config.trials, [&](std::size_t t) {
-    Rng rng = trial_rngs[t];
-    trials[t].probes =
-        random_probes(config.probes_per_trial, net.input_dim(), rng);
-    trials[t].plan = make_attack_plan(
-        net, config, counts_copy,
-        {trials[t].probes.data(), trials[t].probes.size()}, rng);
-    trials[t].plan.convention = config.convention;
-  });
-  return trials;
+  return build_trials(
+      net, config.trials, config.probes_per_trial, config.seed,
+      [&](std::size_t, std::span<const std::vector<double>> probes, Rng& rng) {
+        FaultPlan plan = make_attack_plan(net, config, counts_copy, probes, rng);
+        plan.convention = config.convention;
+        return plan;
+      });
 }
 
 CampaignResult run_campaign(const nn::FeedForwardNetwork& net,
@@ -109,7 +135,7 @@ CampaignResult run_campaign(const nn::FeedForwardNetwork& net,
                             exec::EvalBackend& backend) {
   WNF_EXPECTS(&backend.network() == &net);
   const auto trials = make_campaign_trials(net, counts, config);
-  const auto results = backend.run_trials(trials);
+  const auto results = run_checked(backend, trials);
   return summarize_trials(results,
                           campaign_bound(net, counts, config, fep_options));
 }
@@ -131,16 +157,14 @@ CrossCheckResult cross_check_campaign(const nn::FeedForwardNetwork& net,
   WNF_EXPECTS(&first.network() == &net);
   WNF_EXPECTS(&second.network() == &net);
   const auto trials = make_campaign_trials(net, counts, config);
-  const auto results_first = first.run_trials(trials);
-  const auto results_second = second.run_trials(trials);
+  const auto results_first = run_checked(first, trials);
+  const auto results_second = run_checked(second, trials);
 
   CrossCheckResult check;
   const double bound = campaign_bound(net, counts, config, fep_options);
   check.first = summarize_trials(results_first, bound);
   check.second = summarize_trials(results_second, bound);
   for (std::size_t t = 0; t < trials.size(); ++t) {
-    WNF_ASSERT(results_first[t].probes.size() ==
-               results_second[t].probes.size());
     for (std::size_t i = 0; i < results_first[t].probes.size(); ++i) {
       const double gap = std::fabs(results_first[t].probes[i].output -
                                    results_second[t].probes[i].output);
@@ -163,25 +187,17 @@ TimelineCampaignResult run_timeline_campaign(
 
   serve::FaultTimeline finalized = timeline;
   finalized.finalize(net);
+  const auto trials = build_trials(
+      net, config.trials, config.probes_per_trial, config.seed,
+      [&](std::size_t t, std::span<const std::vector<double>>, Rng&) {
+        return finalized.active_at(t);
+      });
 
-  Rng seeder(config.seed);
-  std::vector<Rng> trial_rngs;
-  trial_rngs.reserve(config.trials);
-  for (std::size_t t = 0; t < config.trials; ++t) {
-    trial_rngs.push_back(seeder.split());
-  }
-
-  std::vector<exec::Trial> trials(config.trials);
   TimelineCampaignResult result;
-  for (std::size_t t = 0; t < config.trials; ++t) {
-    Rng rng = trial_rngs[t];
-    trials[t].probes =
-        random_probes(config.probes_per_trial, net.input_dim(), rng);
-    trials[t].plan = finalized.active_at(t);
-    if (!trials[t].plan.empty()) ++result.faulty_trials;
+  for (const exec::Trial& trial : trials) {
+    if (!trial.plan.empty()) ++result.faulty_trials;
   }
-
-  const auto trial_results = backend.run_trials(trials);
+  const auto trial_results = run_checked(backend, trials);
   result.per_trial_error.reserve(trial_results.size());
   Accumulator acc;
   for (const auto& trial : trial_results) {

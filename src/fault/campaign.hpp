@@ -55,7 +55,12 @@ struct CampaignResult {
 /// Builds the campaign's trial stream: trial t's RNG is the t-th split of
 /// `config.seed`, its probes are drawn first and its plan second (so any
 /// backend replays the exact trials the pre-backend campaign ran). Plan
-/// construction is backend-independent — adversaries search offline.
+/// construction is backend-independent — adversaries search offline. Each
+/// trial also carries its probes' fault-free outputs on `net`
+/// (exec::Trial::nominal): this is the stream's one nominal pass, run in
+/// the same parallel per-trial loop as the plans, and every backend that
+/// runs the stream scores against it. So the stream is for backends bound
+/// to `net`.
 std::vector<exec::Trial> make_campaign_trials(
     const nn::FeedForwardNetwork& net, std::span<const std::size_t> counts,
     const CampaignConfig& config);
@@ -130,7 +135,8 @@ struct TimelineCampaignResult {
 
 /// Runs the timeline scenario on `backend` (bound to `net`). The timeline
 /// is finalized against `net` internally; windows beyond `config.trials`
-/// simply never activate.
+/// simply never activate. The trial stream is built like
+/// make_campaign_trials', nominal outputs included.
 TimelineCampaignResult run_timeline_campaign(
     const nn::FeedForwardNetwork& net, const serve::FaultTimeline& timeline,
     const TimelineCampaignConfig& config, exec::EvalBackend& backend);

@@ -14,10 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
@@ -26,24 +22,7 @@ void Rng::reseed(std::uint64_t seed) {
   has_cached_normal_ = false;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 Rng Rng::split() { return Rng(next_u64() ^ 0xa0761d6478bd642fULL); }
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1) with full mantissa resolution.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
 
 double Rng::uniform(double lo, double hi) {
   WNF_EXPECTS(lo <= hi);
@@ -77,11 +56,6 @@ double Rng::normal() {
 double Rng::normal(double mean, double sd) {
   WNF_EXPECTS(sd >= 0.0);
   return mean + sd * normal();
-}
-
-bool Rng::bernoulli(double p) {
-  WNF_EXPECTS(p >= 0.0 && p <= 1.0);
-  return uniform() < p;
 }
 
 double Rng::sign() { return (next_u64() & 1ULL) ? 1.0 : -1.0; }

@@ -27,8 +27,19 @@ class Rng {
   /// Re-initialises the state from `seed` via SplitMix64.
   void reseed(std::uint64_t seed);
 
-  /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  /// Next raw 64-bit value. Inline, like uniform() and bernoulli(): the
+  /// simulator's per-neuron latency draws call it in their inner loop.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Derives an independent child stream (for per-trial / per-thread use).
   Rng split();
@@ -43,8 +54,10 @@ class Rng {
     has_cached_normal_ = false;
   }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): the 53 high bits, full mantissa resolution.
+  double uniform() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
   double uniform(double lo, double hi);
@@ -59,7 +72,10 @@ class Rng {
   double normal(double mean, double sd);
 
   /// Bernoulli draw with probability p in [0, 1].
-  bool bernoulli(double p);
+  bool bernoulli(double p) {
+    WNF_EXPECTS(p >= 0.0 && p <= 1.0);
+    return uniform() < p;
+  }
 
   /// Uniform sign: +1.0 or -1.0 with equal probability.
   double sign();
@@ -77,6 +93,10 @@ class Rng {
   result_type operator()() { return next_u64(); }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

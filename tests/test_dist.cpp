@@ -15,6 +15,8 @@
 namespace wnf::dist {
 namespace {
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 nn::FeedForwardNetwork sim_net(std::uint64_t seed = 3) {
   Rng rng(seed);
   return nn::NetworkBuilder(3)
@@ -404,19 +406,49 @@ TEST(Latency, HeavyTailDrawsDeterministicUnderSplit) {
 }
 
 TEST(Latency, SampleLayersIntoMatchesSampleLayers) {
-  LatencyModel model{LatencyKind::kHeavyTail, 1.0, 20.0, 0.25};
-  Rng rng_a(43);
-  Rng rng_b(43);
-  const auto fresh = model.sample_layers({5, 3, 4}, rng_a);
-  std::vector<std::vector<double>> reused{{9.0, 9.0}};  // wrong shape: reshaped
-  model.sample_layers_into({5, 3, 4}, rng_b, reused);
-  ASSERT_EQ(reused.size(), fresh.size());
-  for (std::size_t l = 0; l < fresh.size(); ++l) {
-    ASSERT_EQ(reused[l].size(), fresh[l].size());
-    for (std::size_t j = 0; j < fresh[l].size(); ++j) {
-      EXPECT_DOUBLE_EQ(reused[l][j], fresh[l][j]);
+  // sample_layers_into validates the model once per call instead of per
+  // draw; its draws must still be exactly a loop of sample(), bit for bit,
+  // into a reshaped buffer, and leave the stream where that loop leaves
+  // it, for every kind. sample_layers returns the same draws.
+  const std::vector<std::size_t> widths{5, 1, 12};
+  for (const auto kind :
+       {LatencyKind::kConstant, LatencyKind::kUniform, LatencyKind::kHeavyTail}) {
+    const LatencyModel model{kind, 1.5, 30.0, 0.25};
+    Rng rng_a(43);
+    Rng rng_b(43);
+    Rng rng_c(43);
+    const auto fresh = model.sample_layers(widths, rng_c);
+    std::vector<std::vector<double>> reused{{9.0, 9.0}};  // wrong shape
+    model.sample_layers_into(widths, rng_a, reused);
+    ASSERT_EQ(reused.size(), widths.size());
+    for (std::size_t l = 0; l < widths.size(); ++l) {
+      ASSERT_EQ(reused[l].size(), widths[l]);
+      for (std::size_t j = 0; j < widths[l]; ++j) {
+        EXPECT_EQ(bits(reused[l][j]), bits(model.sample(rng_b)))
+            << static_cast<int>(kind) << " layer " << l;
+        EXPECT_EQ(bits(fresh[l][j]), bits(reused[l][j]));
+      }
     }
+    EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64()) << static_cast<int>(kind);
   }
+}
+
+TEST(LatencyDeathTest, InvalidModelAbortsThroughSampleLayersInto) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<std::size_t> widths{3, 2};
+  std::vector<std::vector<double>> out;
+  Rng rng(53);
+  const LatencyModel invalid[3] = {
+      {LatencyKind::kUniform, -1.0, 2.0, 0.0},
+      {LatencyKind::kUniform, 1.0, -2.0, 0.0},
+      {LatencyKind::kHeavyTail, 1.0, 2.0, 1.5},
+  };
+  for (const LatencyModel& model : invalid) {
+    EXPECT_DEATH(model.sample_layers_into(widths, rng, out), "precondition");
+    EXPECT_DEATH(model.sample(rng), "precondition");
+  }
+  // An empty shape draws nothing, but the model is still checked.
+  EXPECT_DEATH(invalid[0].sample_layers_into({}, rng, out), "precondition");
 }
 
 TEST(Boosting, TopLayerCutIsExecutedNotJustCounted) {
@@ -465,8 +497,6 @@ TEST(Boosting, ParallelWorkloadLoopIsReproducible) {
   EXPECT_DOUBLE_EQ(first.mean_abs_error, second.mean_abs_error);
   EXPECT_DOUBLE_EQ(first.max_abs_error, second.max_abs_error);
 }
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// 8 -> 12 -> 10 -> 6 with a small-world layer 2 whose per-edge channels
 /// alternate binding (0.3) and non-binding (4.0) capacities.

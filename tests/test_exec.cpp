@@ -113,6 +113,8 @@ TEST(ExecBackend, ParallelRunTrialsMatchesSequentialDefault) {
         {2, t, fault::NeuronFaultKind::kByzantine, 0.5}};
   }
   trials[1].plan = fault::FaultPlan{};  // a fault-free trial mid-stream
+  nn::Workspace ws;
+  for (Trial& trial : trials) compute_nominal(net, trial, ws);
 
   InjectorBackend injector_backend(net);
   SimulatorBackend simulator_backend(net);
@@ -457,6 +459,88 @@ TEST(Campaign, ResultBitsPinnedOnEveryCampaignEntryPoint) {
                 {0x3fa58e717f61f0b0ull, 10, 0, 0x3f9301bd8e19ae03ull,
                  0x3fa58e717f61f0b0ull, 0},
                 "timeline on serve");
+}
+
+/// An Injector backend that breaks the run_trials contract: it drops the
+/// last trial's result, or the last probe's result of every trial.
+class DroppingBackend final : public EvalBackend {
+ public:
+  DroppingBackend(const nn::FeedForwardNetwork& net, bool drop_probe)
+      : inner_(net), drop_probe_(drop_probe) {}
+
+  std::string_view name() const override { return "dropping"; }
+  const nn::FeedForwardNetwork& network() const override {
+    return inner_.network();
+  }
+  void install(const fault::FaultPlan& plan) override { inner_.install(plan); }
+  void clear() override { inner_.clear(); }
+  ProbeResult evaluate(std::span<const double> x) override {
+    return inner_.evaluate(x);
+  }
+  std::vector<TrialResult> run_trials(std::span<const Trial> trials) override {
+    auto results = inner_.run_trials(trials);
+    if (drop_probe_) {
+      for (TrialResult& result : results) result.probes.pop_back();
+    } else {
+      results.pop_back();
+    }
+    return results;
+  }
+
+ private:
+  InjectorBackend inner_;
+  bool drop_probe_;
+};
+
+TEST(CampaignDeathTest, BackendThatDropsResultsAborts) {
+  // Every campaign entry point checks the backend seam: one TrialResult
+  // per trial and one ProbeResult per probe, or the campaign aborts
+  // instead of summarising (or, in a cross-check, indexing past) too few.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto net = exec_net(107);
+  fault::CampaignConfig config;
+  config.trials = 4;
+  config.probes_per_trial = 3;
+  const auto counts = counts_for(net, config.attack);
+  const auto options = options_for(config.attack);
+  fault::TimelineCampaignConfig timeline_config;
+  timeline_config.trials = 4;
+  timeline_config.probes_per_trial = 3;
+  InjectorBackend injector(net);
+  for (const bool drop_probe : {false, true}) {
+    DroppingBackend dropping(net, drop_probe);
+    EXPECT_DEATH(fault::run_campaign(net, counts, config, options, dropping),
+                 "precondition violated: results");
+    EXPECT_DEATH(fault::cross_check_campaign(net, counts, config, options,
+                                             injector, dropping),
+                 "precondition violated: results");
+    EXPECT_DEATH(fault::run_timeline_campaign(net, serve::FaultTimeline{},
+                                              timeline_config, dropping),
+                 "precondition violated: results");
+  }
+}
+
+TEST(ExecBackendDeathTest, TrialWithoutOneNominalPerProbeAborts) {
+  // Backends score against Trial::nominal and have no fault-free pass to
+  // fall back on: a trial built without compute_nominal is rejected.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* const kNoNominal = "precondition violated: trial.nominal";
+  const auto net = exec_net(109);
+  std::vector<Trial> trials(1);
+  trials[0].probes = {{0.2, 0.4}, {0.6, 0.1}};
+  InjectorBackend injector(net);
+  SimulatorBackend simulator(net);
+  ServeBackend serve(net);
+  for (EvalBackend* backend :
+       std::vector<EvalBackend*>{&injector, &simulator, &serve}) {
+    EXPECT_DEATH(backend->run_trials(trials), kNoNominal) << backend->name();
+    EXPECT_DEATH(backend->EvalBackend::run_trials(trials), kNoNominal)
+        << backend->name();
+  }
+  nn::Workspace ws;
+  compute_nominal(net, trials[0], ws);
+  trials[0].nominal.pop_back();
+  EXPECT_DEATH(injector.run_trials(trials), kNoNominal);
 }
 
 TEST(Campaign, BackendOverloadReproducesLegacyInjectorCampaign) {
