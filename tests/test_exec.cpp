@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/injector_backend.hpp"
@@ -459,6 +460,70 @@ TEST(Campaign, ResultBitsPinnedOnEveryCampaignEntryPoint) {
                 {0x3fa58e717f61f0b0ull, 10, 0, 0x3f9301bd8e19ae03ull,
                  0x3fa58e717f61f0b0ull, 0},
                 "timeline on serve");
+}
+
+/// The (layer, neuron) victims of a crash plan, in plan order.
+std::vector<std::pair<std::size_t, std::size_t>> victims_of(
+    const fault::FaultPlan& plan) {
+  std::vector<std::pair<std::size_t, std::size_t>> victims;
+  for (const auto& fault : plan.neurons) {
+    EXPECT_EQ(fault.kind, fault::NeuronFaultKind::kCrash);
+    victims.emplace_back(fault.layer, fault.neuron);
+  }
+  return victims;
+}
+
+TEST(ExecBackend, AdversarySearchBitsPinnedOnInjectorAndServe) {
+  // Golden greedy and exhaustive crash searches on the Injector and on the
+  // serving pool's serial path (heavy-tail latencies and a straggler cut,
+  // so the latency draws reach every score): the victims chosen, and the
+  // exhaustive search's worst error, bit for bit.
+  const auto net = pinned_net();
+  Rng rng(127);
+  std::vector<std::vector<double>> probes(6);
+  for (auto& probe : probes) {
+    probe = {rng.uniform(), rng.uniform(), rng.uniform()};
+  }
+  const std::span<const std::vector<double>> probe_span{probes.data(),
+                                                        probes.size()};
+
+  InjectorBackend injector(net);
+  ServeBackendOptions serve_options;
+  serve_options.replicas = 2;
+  serve_options.latency = {dist::LatencyKind::kHeavyTail, 1.0, 50.0, 0.3};
+  serve_options.straggler_cut = {2, 2, 1};
+  serve_options.seed = 131;
+  ServeBackend serve(net, serve_options);
+
+  const std::vector<std::size_t> counts{2, 2, 1};
+  using Victims = std::vector<std::pair<std::size_t, std::size_t>>;
+  struct Golden {
+    Victims greedy;
+    Victims exhaustive;
+    std::uint64_t exhaustive_worst;
+  };
+  const Golden golden[2] = {
+      {{{1, 4}, {1, 0}, {2, 1}, {2, 2}, {3, 3}},
+       {{2, 1}, {2, 3}},
+       0x3fca754ae9579e28ull},
+      {{{1, 4}, {1, 6}, {2, 6}, {2, 3}, {3, 3}},
+       {{2, 2}, {2, 3}},
+       0x3fe661777f313e46ull},
+  };
+  const std::vector<EvalBackend*> backends{&injector, &serve};
+  for (std::size_t b = 0; b < backends.size(); ++b) {
+    const std::string what(backends[b]->name());
+    const auto greedy =
+        fault::greedy_worst_crash_plan(net, counts, probe_span, *backends[b]);
+    EXPECT_EQ(victims_of(greedy), golden[b].greedy) << what << " greedy";
+    double worst = 0.0;
+    const auto exhaustive = fault::exhaustive_worst_crash_plan(
+        net, 2, 2, probe_span, worst, *backends[b]);
+    EXPECT_EQ(victims_of(exhaustive), golden[b].exhaustive)
+        << what << " exhaustive";
+    EXPECT_EQ(bits(worst), golden[b].exhaustive_worst)
+        << what << " exhaustive worst 0x" << std::hex << bits(worst);
+  }
 }
 
 /// An Injector backend that breaks the run_trials contract: it drops the
