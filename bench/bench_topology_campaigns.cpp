@@ -30,7 +30,6 @@
 #include "exec/injector_backend.hpp"
 #include "exec/serve_backend.hpp"
 #include "exec/simulator_backend.hpp"
-#include "exec/transport_backend.hpp"
 #include "fault/campaign.hpp"
 #include "transport/worker.hpp"
 #include "util/contract.hpp"

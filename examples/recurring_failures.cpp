@@ -39,7 +39,6 @@
 #include "exec/injector_backend.hpp"
 #include "exec/serve_backend.hpp"
 #include "exec/simulator_backend.hpp"
-#include "exec/transport_backend.hpp"
 #include "fault/campaign.hpp"
 #include "nn/builder.hpp"
 #include "obs/export.hpp"
@@ -232,7 +231,8 @@ int main(int argc, char** argv) {
     snap_config.label = "recurring_failures";
     snapshotter = std::make_unique<obs::Snapshotter>(snap_config);
     if (transport_backend != nullptr) {
-      snapshotter->add_source("fleet", &transport_backend->fleet()->metrics());
+      snapshotter->add_source("fleet",
+                              &transport_backend->runtime()->metrics());
     }
     if (!snapshotter->start()) {
       std::fprintf(stderr, "snapshot export: cannot open %s\n",
@@ -312,11 +312,12 @@ int main(int argc, char** argv) {
   }
   if (!metrics_path.empty()) {
     std::vector<obs::NamedSnapshot> registries;
-    if (transport_backend != nullptr && transport_backend->fleet() != nullptr) {
+    if (transport_backend != nullptr &&
+        transport_backend->runtime() != nullptr) {
       // The fleet registry holds the LAST deployment's deltas: each
       // campaign rebind resets it (per-deployment counters by design).
       registries.push_back(
-          {"fleet", transport_backend->fleet()->metrics().snapshot()});
+          {"fleet", transport_backend->runtime()->metrics().snapshot()});
     }
     if (snapshotter) {
       registries.push_back({"snapshot", snapshotter->metrics().snapshot()});

@@ -27,18 +27,17 @@ void finish_trial(const Trial& trial, TrialResult& result) {
   }
 }
 
-double EvalBackend::worst_output_error(
-    const fault::FaultPlan& plan,
-    std::span<const std::vector<double>> probes) {
-  WNF_EXPECTS(!probes.empty());
-  install(plan);
-  double worst = 0.0;
-  for (const auto& x : probes) {
-    const double damaged = evaluate({x.data(), x.size()}).output;
-    worst = std::max(worst, std::fabs(nominal({x.data(), x.size()}) - damaged));
+double EvalBackend::worst_output_error(const Trial& trial) {
+  WNF_EXPECTS(!trial.probes.empty());
+  install(trial.plan);
+  TrialResult result;
+  result.probes.reserve(trial.probes.size());
+  for (const auto& x : trial.probes) {
+    result.probes.push_back(evaluate({x.data(), x.size()}));
   }
   clear();
-  return worst;
+  finish_trial(trial, result);
+  return result.worst_error;
 }
 
 std::vector<TrialResult> EvalBackend::run_trials(

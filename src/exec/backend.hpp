@@ -79,17 +79,11 @@ class EvalBackend {
   /// Evaluates one probe under the installed plan.
   virtual ProbeResult evaluate(std::span<const double> x) = 0;
 
-  /// Fault-free reference output for `x` — the matrix forward pass every
-  /// path is pinned against (the simulator's clean evaluation is
-  /// bit-identical to it; see tests/test_dist.cpp).
-  double nominal(std::span<const double> x) const {
-    return network().evaluate(x);
-  }
-
-  /// max over `probes` of |nominal - damaged| for `plan`. Installs the plan,
-  /// scores, and clears — the scoring primitive adversary searches use.
-  double worst_output_error(const fault::FaultPlan& plan,
-                            std::span<const std::vector<double>> probes);
+  /// The trial's worst error (finish_trial): installs its plan, evaluates
+  /// its probes, scores them against its nominal outputs, and clears — the
+  /// scoring primitive adversary searches use, with the nominals computed
+  /// once per search instead of once per candidate plan.
+  double worst_output_error(const Trial& trial);
 
   /// Runs every trial: installs its plan, evaluates its probes, and scores
   /// them against the trial's nominal outputs (finish_trial). Returns one

@@ -1,88 +1,68 @@
 #include "exec/serve_backend.hpp"
 
-#include <algorithm>
+#include <limits>
 
 #include "obs/trace.hpp"
-#include "transport/host.hpp"
 #include "util/contract.hpp"
 
 namespace wnf::exec {
-namespace {
 
-serve::ServeConfig pool_config(const ServeBackendOptions& options,
-                               std::size_t queue_capacity) {
-  serve::ServeConfig config;
-  config.replicas = options.replicas;
-  config.queue_capacity = queue_capacity;
-  config.sim = options.sim;
-  config.latency = options.latency;
-  config.straggler_cut = options.straggler_cut;
-  config.seed = options.seed;
-  return config;
+template <typename Runtime>
+ServingBackend<Runtime>::ServingBackend(const nn::FeedForwardNetwork& net,
+                                        Config config)
+    : net_(net), config_(std::move(config)) {
+  config_.queue_capacity = std::numeric_limits<std::size_t>::max();
 }
 
-}  // namespace
-
-ServeBackend::ServeBackend(const nn::FeedForwardNetwork& net,
-                           ServeBackendOptions options)
-    : net_(net), options_(std::move(options)) {}
-
-serve::ReplicaPool& ServeBackend::serial_pool() {
-  if (!serial_pool_) {
-    serial_pool_ = std::make_unique<serve::ReplicaPool>(
-        net_, pool_config(options_, 1));
-  }
-  return *serial_pool_;
+template <>
+std::string_view ServingBackend<serve::ReplicaPool>::name() const {
+  return "serve";
 }
 
-void ServeBackend::install(const fault::FaultPlan& plan) {
+template <>
+std::string_view ServingBackend<transport::WorkerHost>::name() const {
+  return "transport";
+}
+
+template <typename Runtime>
+void ServingBackend<Runtime>::install(const fault::FaultPlan& plan) {
   fault::validate_plan(plan, net_);
   plan_ = plan;
   plan_dirty_ = true;
 }
 
-void ServeBackend::clear() {
+template <typename Runtime>
+void ServingBackend<Runtime>::clear() {
   plan_ = fault::FaultPlan{};
   plan_dirty_ = true;
 }
 
-ProbeResult ServeBackend::evaluate(std::span<const double> x) {
-  serve::ReplicaPool& pool = serial_pool();
+template <typename Runtime>
+ProbeResult ServingBackend<Runtime>::evaluate(std::span<const double> x) {
+  if (!runtime_) runtime_ = std::make_unique<Runtime>(net_, config_);
   if (plan_dirty_) {
     // The installed plan holds for every request from here on: one window
-    // covering the rest of the pool's request stream.
+    // covering the rest of the runtime's request stream.
     serve::FaultTimeline timeline;
     if (!plan_.empty()) {
-      timeline.add(pool.next_request_id(), serve::FaultTimeline::kForever,
-                   plan_);
+      timeline.add(runtime_->next_request_id(),
+                   serve::FaultTimeline::kForever, plan_);
     }
-    pool.set_timeline(std::move(timeline));
+    runtime_->set_timeline(std::move(timeline));
     plan_dirty_ = false;
   }
-  const bool accepted = pool.submit(std::vector<double>(x.begin(), x.end()));
-  WNF_ASSERT(accepted);  // the serial pool drains after every request
-  const auto results = pool.drain();
+  const bool accepted =
+      runtime_->submit(std::vector<double>(x.begin(), x.end()));
+  WNF_ASSERT(accepted);  // the queue is unbounded
+  const auto results = runtime_->drain();
   WNF_ASSERT(results.size() == 1);
   return {results[0].output, results[0].completion_time,
           results[0].resets_sent};
 }
 
-std::vector<TrialResult> ServeBackend::run_trials(
-    std::span<const Trial> trials) {
-  std::size_t total = 0;
-  for (const Trial& trial : trials) total += trial.probes.size();
-  const obs::ScopedSpan span(obs::TraceName::kTrialStream, trials.size(),
-                             total);
-  // Fresh pool per call: ids start at 0 and the queue holds the entire
-  // trial stream, so nothing is shed and prior calls leave no trace.
-  serve::ReplicaPool pool(net_,
-                          pool_config(options_, std::max<std::size_t>(total, 1)));
-  return serve_trial_stream(pool, trials);
-}
-
 template <typename Runtime>
-std::vector<TrialResult> serve_trial_stream(Runtime& runtime,
-                                            std::span<const Trial> trials) {
+std::vector<TrialResult> ServingBackend<Runtime>::run_trials(
+    std::span<const Trial> trials) {
   serve::FaultTimeline timeline;
   std::size_t total = 0;
   for (const Trial& trial : trials) {
@@ -91,7 +71,18 @@ std::vector<TrialResult> serve_trial_stream(Runtime& runtime,
     }
     total += trial.probes.size();
   }
+  const obs::ScopedSpan span(obs::TraceName::kTrialStream, trials.size(),
+                             total);
+  // Fresh logical deployment per call: ids from 0 on the re-applied seed,
+  // so prior calls leave no trace in the results.
+  if (runtime_) {
+    runtime_->rebind(net_);
+  } else {
+    runtime_ = std::make_unique<Runtime>(net_, config_);
+  }
+  Runtime& runtime = *runtime_;
   runtime.set_timeline(std::move(timeline));
+  plan_dirty_ = true;  // the next evaluate() re-installs the installed plan
 
   std::vector<serve::RequestResult> served;
   served.reserve(total);
@@ -99,7 +90,7 @@ std::vector<TrialResult> serve_trial_stream(Runtime& runtime,
   for (const Trial& trial : trials) {
     for (const auto& x : trial.probes) {
       const bool accepted = runtime.submit(x);
-      WNF_ASSERT(accepted);  // queue sized to the whole stream
+      WNF_ASSERT(accepted);  // the queue is unbounded
       while (runtime.poll(ready)) served.push_back(ready);
     }
   }
@@ -120,9 +111,7 @@ std::vector<TrialResult> serve_trial_stream(Runtime& runtime,
   return results;
 }
 
-template std::vector<TrialResult> serve_trial_stream(serve::ReplicaPool&,
-                                                     std::span<const Trial>);
-template std::vector<TrialResult> serve_trial_stream(transport::WorkerHost&,
-                                                     std::span<const Trial>);
+template class ServingBackend<serve::ReplicaPool>;
+template class ServingBackend<transport::WorkerHost>;
 
 }  // namespace wnf::exec

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "exec/injector_backend.hpp"
 #include "nn/gradients.hpp"
@@ -23,6 +24,17 @@ double outgoing_influence(const nn::FeedForwardNetwork& net, std::size_t l,
     best = std::max(best, std::fabs(upper(j, i)));
   }
   return best;
+}
+
+/// A search's scoring trial: `probes` with their nominal outputs, computed
+/// once. The search varies only the trial's plan.
+exec::Trial scoring_trial(const nn::FeedForwardNetwork& net,
+                          std::span<const std::vector<double>> probes) {
+  exec::Trial trial;
+  trial.probes.assign(probes.begin(), probes.end());
+  nn::Workspace ws;
+  exec::compute_nominal(net, trial, ws);
+  return trial;
 }
 
 /// Indices of the `k` largest scores (descending), stable for ties.
@@ -196,6 +208,7 @@ FaultPlan exhaustive_worst_crash_plan(
   WNF_EXPECTS(f <= width);
   WNF_EXPECTS(combination_count(width, f) <= combination_limit);
 
+  exec::Trial trial = scoring_trial(net, probe_inputs);
   FaultPlan best_plan;
   worst_error = -1.0;
 
@@ -215,14 +228,15 @@ FaultPlan exhaustive_worst_crash_plan(
     return false;
   };
   do {
-    FaultPlan plan;
+    trial.plan.neurons.clear();
     for (std::size_t victim : victims) {
-      plan.neurons.push_back({layer, victim, NeuronFaultKind::kCrash, 0.0});
+      trial.plan.neurons.push_back(
+          {layer, victim, NeuronFaultKind::kCrash, 0.0});
     }
-    const double error = backend.worst_output_error(plan, probe_inputs);
+    const double error = backend.worst_output_error(trial);
     if (error > worst_error) {
       worst_error = error;
-      best_plan = plan;
+      best_plan = trial.plan;
     }
   } while (advance());
   return best_plan;
@@ -242,7 +256,8 @@ FaultPlan greedy_worst_crash_plan(
     std::span<const std::vector<double>> probes, exec::EvalBackend& backend) {
   WNF_EXPECTS(counts.size() == net.layer_count());
   WNF_EXPECTS(&backend.network() == &net);
-  FaultPlan plan;
+  exec::Trial trial = scoring_trial(net, probes);
+  FaultPlan& plan = trial.plan;
   for (std::size_t l = 1; l <= net.layer_count(); ++l) {
     const std::size_t width = net.layer_width(l);
     WNF_EXPECTS(counts[l - 1] <= width);
@@ -254,7 +269,7 @@ FaultPlan greedy_worst_crash_plan(
         if (killed[candidate]) continue;
         plan.neurons.push_back(
             {l, candidate, NeuronFaultKind::kCrash, 0.0});
-        const double error = backend.worst_output_error(plan, probes);
+        const double error = backend.worst_output_error(trial);
         plan.neurons.pop_back();
         if (error > best_error) {
           best_error = error;
@@ -266,7 +281,7 @@ FaultPlan greedy_worst_crash_plan(
       plan.neurons.push_back({l, best_victim, NeuronFaultKind::kCrash, 0.0});
     }
   }
-  return plan;
+  return std::move(trial.plan);
 }
 
 FaultPlan greedy_worst_crash_plan(

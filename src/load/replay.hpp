@@ -58,37 +58,29 @@ class Pipeline {
   virtual serve::ServeReport report() const = 0;
 };
 
+/// A serving runtime as a Pipeline: the four calls forward to it. A
+/// WorkerHost's poll() pumps its event loop, so interleaving two
+/// HostPipelines from one driver thread keeps both fleets dispatching and
+/// harvesting.
+template <typename Runtime>
+class RuntimePipeline final : public Pipeline {
+ public:
+  explicit RuntimePipeline(Runtime& runtime) : runtime_(runtime) {}
+  bool try_submit(std::vector<double> x) override {
+    return runtime_.submit(std::move(x));
+  }
+  bool poll(serve::RequestResult& out) override { return runtime_.poll(out); }
+  std::size_t outstanding() const override { return runtime_.pending(); }
+  serve::ServeReport report() const override { return runtime_.report(); }
+
+ private:
+  Runtime& runtime_;
+};
+
 /// In-process deployment: thread-per-replica ReplicaPool.
-class PoolPipeline final : public Pipeline {
- public:
-  explicit PoolPipeline(serve::ReplicaPool& pool) : pool_(pool) {}
-  bool try_submit(std::vector<double> x) override {
-    return pool_.submit(std::move(x));
-  }
-  bool poll(serve::RequestResult& out) override { return pool_.poll(out); }
-  std::size_t outstanding() const override { return pool_.pending(); }
-  serve::ServeReport report() const override { return pool_.report(); }
-
- private:
-  serve::ReplicaPool& pool_;
-};
-
-/// Multi-process deployment: persistent WorkerHost fleet. poll() pumps the
-/// host's event loop, so interleaving two HostPipelines from one driver
-/// thread keeps both fleets dispatching and harvesting.
-class HostPipeline final : public Pipeline {
- public:
-  explicit HostPipeline(transport::WorkerHost& host) : host_(host) {}
-  bool try_submit(std::vector<double> x) override {
-    return host_.submit(std::move(x));
-  }
-  bool poll(serve::RequestResult& out) override { return host_.poll(out); }
-  std::size_t outstanding() const override { return host_.pending(); }
-  serve::ServeReport report() const override { return host_.report(); }
-
- private:
-  transport::WorkerHost& host_;
-};
+using PoolPipeline = RuntimePipeline<serve::ReplicaPool>;
+/// Multi-process deployment: persistent WorkerHost fleet.
+using HostPipeline = RuntimePipeline<transport::WorkerHost>;
 
 /// Replay policy knobs.
 struct OpenLoopConfig {

@@ -1,6 +1,7 @@
 #include "load/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <iomanip>
 #include <istream>
@@ -21,6 +22,31 @@ constexpr char kTraceHeader[] = "# wnf-arrival-trace v1";
 /// log argument stays strictly positive.
 double exponential_gap(double rate, Rng& rng) {
   return -std::log(1.0 - rng.uniform()) / rate;
+}
+
+/// Splits `line` into exactly two whitespace-separated tokens.
+bool split_pair(const std::string& line, std::string& first,
+                std::string& second) {
+  std::istringstream fields(line);
+  std::string extra;
+  return (fields >> first >> second) && !(fields >> extra);
+}
+
+/// The whole of `token` as a finite double.
+bool parse_finite(const std::string& token, double& value) {
+  const char* const end = token.data() + token.size();
+  const auto [at, error] = std::from_chars(token.data(), end, value);
+  return error == std::errc{} && at == end && std::isfinite(value);
+}
+
+/// The whole of `token` as a tenant id: unsigned decimal digits that fit.
+bool parse_tenant(const std::string& token, std::uint32_t& tenant) {
+  if (token.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  const char* const end = token.data() + token.size();
+  const auto [at, error] = std::from_chars(token.data(), end, tenant);
+  return error == std::errc{} && at == end;
 }
 
 }  // namespace
@@ -116,20 +142,21 @@ std::optional<ArrivalTrace> load_trace(std::istream& in) {
   if (!std::getline(in, line) || line != kTraceHeader) return std::nullopt;
   if (!std::getline(in, line)) return std::nullopt;
   ArrivalTrace trace;
-  {
-    std::istringstream fields(line);
-    std::string key;
-    if (!(fields >> key >> trace.duration) || key != "duration" ||
-        !(trace.duration > 0.0)) {
-      return std::nullopt;
-    }
+  std::string first;
+  std::string second;
+  if (!split_pair(line, first, second) || first != "duration" ||
+      !parse_finite(second, trace.duration) || !(trace.duration > 0.0)) {
+    return std::nullopt;
   }
   double last = -std::numeric_limits<double>::infinity();
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    std::istringstream fields(line);
     Arrival arrival;
-    if (!(fields >> arrival.time >> arrival.tenant)) return std::nullopt;
+    if (!split_pair(line, first, second) ||
+        !parse_finite(first, arrival.time) ||
+        !parse_tenant(second, arrival.tenant)) {
+      return std::nullopt;
+    }
     if (arrival.time < last || arrival.time < 0.0 ||
         arrival.time > trace.duration) {
       return std::nullopt;

@@ -85,7 +85,9 @@ ArrivalTrace scale_rate(const ArrivalTrace& trace, double factor);
 void save_trace(const ArrivalTrace& trace, std::ostream& out);
 
 /// Parses the text format; nullopt on any structural violation (bad
-/// header, unparseable line, descending times, arrival past duration).
+/// header, a line without exactly its two tokens, a time or duration that
+/// is not a finite number, a tenant that is not unsigned decimal digits
+/// within 32 bits, descending times, arrival past duration).
 std::optional<ArrivalTrace> load_trace(std::istream& in);
 
 }  // namespace wnf::load

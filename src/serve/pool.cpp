@@ -23,17 +23,10 @@ std::size_t resolve_replicas(std::size_t requested) {
 }  // namespace
 
 ReplicaPool::ReplicaPool(const nn::FeedForwardNetwork& net, ServeConfig config)
-    : net_(net), config_(std::move(config)), root_(config_.seed) {
+    : net_(&net), config_(std::move(config)), root_(config_.seed) {
   WNF_EXPECTS(config_.queue_capacity > 0);
-  const std::size_t replicas = resolve_replicas(config_.replicas);
-  replicas_.reserve(replicas);
-  for (std::size_t r = 0; r < replicas; ++r) {
-    replicas_.push_back(std::make_unique<Replica>(net_, config_.sim));
-  }
-  if (!config_.straggler_cut.empty()) {
-    WNF_EXPECTS(config_.straggler_cut.size() == net_.layer_count());
-    wait_counts_ = dist::wait_counts_from_cut(net_, config_.straggler_cut);
-  }
+  replicas_.resize(resolve_replicas(config_.replicas));
+  bind(net);
   // The report derives from the registry; the hot paths cache the metric
   // pointers once (registrations outlive the pool).
   rejected_count_ = &metrics_.counter("serve.rejected");
@@ -41,10 +34,44 @@ ReplicaPool::ReplicaPool(const nn::FeedForwardNetwork& net, ServeConfig config)
   completion_hist_ = &metrics_.histogram("serve.completion_time");
   queue_depth_hist_ = &metrics_.histogram("serve.queue_depth");
   trace_tag_ = obs::next_span_id() << 32;
-  threads_.reserve(replicas);
-  for (std::size_t r = 0; r < replicas; ++r) {
+  threads_.reserve(replicas_.size());
+  for (std::size_t r = 0; r < replicas_.size(); ++r) {
     threads_.emplace_back([this, r] { worker_loop(r); });
   }
+}
+
+void ReplicaPool::bind(const nn::FeedForwardNetwork& net) {
+  net_ = &net;
+  for (auto& replica : replicas_) {
+    replica = std::make_unique<Replica>(net, config_.sim);
+  }
+  wait_counts_.clear();
+  if (!config_.straggler_cut.empty()) {
+    WNF_EXPECTS(config_.straggler_cut.size() == net.layer_count());
+    wait_counts_ = dist::wait_counts_from_cut(net, config_.straggler_cut);
+  }
+}
+
+void ReplicaPool::rebind(const nn::FeedForwardNetwork& net) {
+  // No traffic may straddle the swap. Every accepted request was delivered,
+  // so every worker is parked on the empty dispatch queue and none holds a
+  // replica: the simulators can be rebuilt under them.
+  WNF_EXPECTS(outstanding_.load() == 0);
+  bind(net);
+  // Fresh logical deployment: ids restart at 0 on a reseeded root stream,
+  // with no timeline carried over.
+  timeline_ = FaultTimeline{};
+  root_.reseed(config_.seed);
+  next_id_ = 0;
+  completions_.reset(0);
+  // The report starts over with the deployment (rebinds_ is lifetime):
+  // every metric zeroes in place, cached pointers intact.
+  completion_.clear();
+  metrics_.reset();
+  wall_seconds_ = 0.0;
+  ++rebinds_;
+  trace_tag_ = obs::next_span_id() << 32;
+  obs::instant(obs::TraceName::kRebindEvent, rebinds_);
 }
 
 ReplicaPool::~ReplicaPool() {
@@ -60,7 +87,7 @@ ReplicaPool::~ReplicaPool() {
 void ReplicaPool::set_timeline(FaultTimeline timeline) {
   WNF_EXPECTS(outstanding_.load() == 0);  // workers may hold stale segments
   timeline_ = std::move(timeline);
-  timeline_.finalize(net_);
+  timeline_.finalize(*net_);
   // Segment indices from the old timeline mean nothing under the new one;
   // force every replica to re-resolve on its next request. The pipeline is
   // idle, so no worker is reading its segment concurrently.
@@ -68,7 +95,7 @@ void ReplicaPool::set_timeline(FaultTimeline timeline) {
 }
 
 bool ReplicaPool::submit(std::vector<double> x) {
-  WNF_EXPECTS(x.size() == net_.input_dim());
+  WNF_EXPECTS(x.size() == net_->input_dim());
   if (outstanding_.load() >= config_.queue_capacity) {
     rejected_count_->increment();
     obs::instant(obs::TraceName::kShed, next_id_);
@@ -98,7 +125,7 @@ bool ReplicaPool::submit(std::vector<double> x) {
 std::size_t ReplicaPool::submit_batch(
     std::span<const std::vector<double>> batch) {
   if (batch.empty()) return 0;
-  for (const auto& x : batch) WNF_EXPECTS(x.size() == net_.input_dim());
+  for (const auto& x : batch) WNF_EXPECTS(x.size() == net_->input_dim());
   // One lock and one wake for the whole batch: at small request sizes the
   // per-request notify_one and mutex round-trips of submit() dominate the
   // closed-loop throughput otherwise. Capacity math is race-free because
@@ -162,7 +189,6 @@ RequestResult ReplicaPool::process(Replica& replica,
 }
 
 void ReplicaPool::worker_loop(std::size_t r) {
-  Replica& replica = *replicas_[r];
   std::vector<PendingRequest> grabbed;
   std::vector<RequestResult> finished;
   grabbed.reserve(kGrabChunk);
@@ -182,6 +208,9 @@ void ReplicaPool::worker_loop(std::size_t r) {
         dispatch_.pop_front();
       }
     }
+    // Looked up per chunk: rebind() replaces the replica while this thread
+    // is parked.
+    Replica& replica = *replicas_[r];
     finished.clear();
     for (const PendingRequest& request : grabbed) {
       finished.push_back(process(replica, request));
@@ -243,6 +272,7 @@ ServeReport ReplicaPool::report() const {
   report.replicas = replicas_.size();
   finalize_completion_stats(report, completion_, wall_seconds_);
   report.resets_sent = static_cast<std::size_t>(resets_count_->value());
+  report.rebinds = rebinds_;
   return report;
 }
 

@@ -72,14 +72,24 @@ struct ServeConfig {
 /// every outstanding request. Because delivery is in id order and every
 /// result is a pure function of (seed, id, input, timeline), the
 /// asynchronous pipeline is bit-identical to the synchronous drain it
-/// replaced at any replica count. set_timeline() requires an idle pipeline
-/// (no outstanding requests): a timeline swap mid-flight would race the
-/// workers' segment installs.
+/// replaced at any replica count. set_timeline() and rebind() require an
+/// idle pipeline (no outstanding requests): a swap mid-flight would race
+/// the workers' segment installs.
 class ReplicaPool {
  public:
+  using Config = ServeConfig;
+
   /// Binds to `net` (kept by reference; must outlive the pool) and spawns
   /// the worker threads with one simulator replica each.
   ReplicaPool(const nn::FeedForwardNetwork& net, ServeConfig config);
+
+  /// Rebinds the pool to `net` (kept by reference; must outlive the pool):
+  /// rebuilds every replica's simulator while the worker threads stay
+  /// parked, re-applies the seed (ids restart at 0), clears the timeline,
+  /// and resets the report and metric registry in place. The rebound pool
+  /// serves exactly what a freshly constructed one would, bit for bit,
+  /// without respawning a thread. Requires an idle pipeline.
+  void rebind(const nn::FeedForwardNetwork& net);
 
   /// Joins the worker threads; outstanding results are discarded.
   ~ReplicaPool();
@@ -118,7 +128,8 @@ class ReplicaPool {
   std::vector<RequestResult> drain();
 
   /// Throughput and completion-time statistics over everything delivered
-  /// so far.
+  /// since construction or the last rebind(). `rebinds` counts over the
+  /// pool's whole lifetime.
   ServeReport report() const;
 
   std::size_t replica_count() const { return replicas_.size(); }
@@ -128,7 +139,7 @@ class ReplicaPool {
   /// Requests accepted and not yet delivered through poll()/wait().
   std::size_t pending() const { return outstanding_.load(); }
   std::uint64_t next_request_id() const { return next_id_; }
-  const nn::FeedForwardNetwork& network() const { return net_; }
+  const nn::FeedForwardNetwork& network() const { return *net_; }
 
  private:
   /// One worker's serving state: a simulator plus the timeline segment it
@@ -149,11 +160,14 @@ class ReplicaPool {
     Rng rng;  ///< child stream split off at submission
   };
 
+  /// Points the pool at `net`: one fresh simulator per replica and the
+  /// straggler cut's wait counts for it.
+  void bind(const nn::FeedForwardNetwork& net);
   RequestResult process(Replica& replica, const PendingRequest& request);
   void worker_loop(std::size_t r);
   void delivered(const RequestResult& result);
 
-  const nn::FeedForwardNetwork& net_;
+  const nn::FeedForwardNetwork* net_;
   ServeConfig config_;
   FaultTimeline timeline_;
   std::vector<std::unique_ptr<Replica>> replicas_;
@@ -171,10 +185,11 @@ class ReplicaPool {
   CompletionQueue completions_;
   std::atomic<std::size_t> outstanding_{0};  ///< accepted - delivered
 
-  // Aggregates over every delivery (id order, so deterministic). The
-  // counters live in the metrics registry (report() derives from it);
-  // completion times keep exact samples for the pinned report quantiles.
-  // All touched by the driver thread only.
+  // Aggregates over every delivery since construction / the last rebind()
+  // (id order, so deterministic). The counters live in the metrics
+  // registry (report() derives from it; rebind() resets it); completion
+  // times keep exact samples for the pinned report quantiles. rebinds_ is
+  // lifetime. All touched by the driver thread only.
   std::chrono::steady_clock::time_point busy_start_{};
   SampleHistogram completion_;
   obs::MetricsRegistry metrics_;
@@ -183,6 +198,7 @@ class ReplicaPool {
   obs::LogHistogram* completion_hist_ = nullptr;
   obs::LogHistogram* queue_depth_hist_ = nullptr;
   double wall_seconds_ = 0.0;
+  std::size_t rebinds_ = 0;
   /// High bits of this deployment's async trace ids (request-id low bits).
   std::uint64_t trace_tag_ = 0;
 };

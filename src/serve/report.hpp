@@ -22,9 +22,10 @@ struct RequestResult {
   std::size_t resets_sent = 0;   ///< Section V-B reset-message accounting
 };
 
-/// Aggregate view of everything a deployment has served so far. The last
-/// three counters are transport-runtime effects (process-level load
-/// shedding, worker deaths); in-process runtimes report them as zero.
+/// Aggregate view of everything a deployment has served so far. `shed`,
+/// `resubmitted` and `worker_restarts` are transport-runtime effects
+/// (process-level load shedding, worker deaths); in-process runtimes
+/// report them as zero.
 struct ServeReport {
   std::size_t completed = 0;     ///< requests drained
   std::size_t rejected = 0;      ///< submissions shed by the bounded queue
@@ -45,9 +46,10 @@ struct ServeReport {
                                  ///< survivors after a worker-process death
   std::size_t worker_restarts = 0;  ///< worker processes respawned (crash
                                     ///< recovery boundaries + forced)
-  std::size_t rebinds = 0;       ///< times the fleet was rebound to a new
-                                 ///< deployment without re-forking
-                                 ///< (lifetime, unlike the other counters)
+  std::size_t rebinds = 0;       ///< times the pool or fleet was rebound
+                                 ///< to a new deployment without new
+                                 ///< threads or forks (lifetime, unlike
+                                 ///< the other counters)
 };
 
 /// Fills the completion-statistics block of `report` — completed count,

@@ -137,6 +137,7 @@ WorkerHost::WorkerHost(TransportConfig config)
     postmortem_ = std::make_unique<obs::PostmortemWriter>(
         obs::PostmortemConfig{config_.postmortem_dir});
   }
+  set_crash_script(config_.crash_script);
   // The mappings must exist before the first fork so every child inherits
   // them.
   for (auto& worker : workers_) {
@@ -187,9 +188,9 @@ void WorkerHost::rebind(const nn::FeedForwardNetwork& net,
     wait_counts_ = dist::wait_counts_from_cut(*net_, config_.straggler_cut);
   }
   // Fresh logical deployment: ids restart at 0 on a reseeded root stream,
-  // with no timeline and no crash script carried over.
+  // with no timeline carried over and the config's crash script re-armed.
   timeline_ = serve::FaultTimeline{};
-  script_.clear();
+  set_crash_script(config_.crash_script);
   root_.reseed(config_.seed);
   next_id_ = 0;
   completions_.reset(0);

@@ -49,6 +49,20 @@
 
 namespace wnf::transport {
 
+/// One scripted worker-process death: when the dispatch frontier reaches
+/// request `start`, worker `worker` is SIGKILLed for real; when it reaches
+/// `end`, the worker is respawned (the recovery boundary). Windows are
+/// timed in request ids like serve::FaultTimeline windows, so a scenario
+/// replays identically whatever the machine speed. Pass
+/// serve::FaultTimeline::kForever as `end` for a death with no scripted
+/// recovery (the host still force-respawns if the deployment would
+/// otherwise have no worker left to serve pending traffic).
+struct CrashWindow {
+  std::size_t worker = 0;
+  std::uint64_t start = 0;
+  std::uint64_t end = 0;
+};
+
 /// Shape of one multi-process deployment.
 struct TransportConfig {
   std::size_t workers = 1;  ///< worker processes, one simulator each
@@ -85,6 +99,11 @@ struct TransportConfig {
   /// telemetry flushes) that a postmortem replays. Only kept when
   /// postmortem_dir is set; never touched on the probe hot path.
   std::size_t postmortem_events = 48;
+  /// Worker-process deaths, timed in request ids. Armed at construction
+  /// and re-armed by every rebind(), as the seed is, so each deployment on
+  /// the fleet replays the same deaths. Deaths move requests between
+  /// processes, never change results.
+  std::vector<CrashWindow> crash_script;
 };
 
 /// What changes when a live fleet is rebound (WorkerHost::rebind). Unset
@@ -95,20 +114,6 @@ struct RebindOptions {
   std::optional<std::uint64_t> seed;
   std::optional<std::vector<std::size_t>> straggler_cut;
   std::optional<std::size_t> queue_capacity;
-};
-
-/// One scripted worker-process death: when the dispatch frontier reaches
-/// request `start`, worker `worker` is SIGKILLed for real; when it reaches
-/// `end`, the worker is respawned (the recovery boundary). Windows are
-/// timed in request ids like serve::FaultTimeline windows, so a scenario
-/// replays identically whatever the machine speed. Pass
-/// serve::FaultTimeline::kForever as `end` for a death with no scripted
-/// recovery (the host still force-respawns if the deployment would
-/// otherwise have no worker left to serve pending traffic).
-struct CrashWindow {
-  std::size_t worker = 0;
-  std::uint64_t start = 0;
-  std::uint64_t end = 0;
 };
 
 /// A deployment of worker processes serving batched traffic over
@@ -137,6 +142,8 @@ struct CrashWindow {
 /// freshly constructed host without paying fork + network shipping again.
 class WorkerHost {
  public:
+  using Config = TransportConfig;
+
   /// True when this platform supports the runtime (POSIX fork/socketpair).
   static bool available();
 
@@ -153,11 +160,12 @@ class WorkerHost {
 
   /// Rebinds the live fleet to `net` (kept by reference; must outlive the
   /// host): ships every worker one atomic kRebind frame, re-applies the
-  /// seed (ids restart at 0), clears the timeline and crash script, and
-  /// resets the per-deployment report — the rebound fleet serves exactly
-  /// what a freshly constructed host would, bit for bit, with zero new
-  /// forks. Workers a previous crash script left dead rejoin first.
-  /// Requires an idle pipeline (no request outstanding across the swap).
+  /// seed (ids restart at 0), clears the timeline, re-arms the config's
+  /// crash script, and resets the per-deployment report — the rebound
+  /// fleet serves exactly what a freshly constructed host would, bit for
+  /// bit, with zero new forks. Workers a previous crash script left dead
+  /// rejoin first. Requires an idle pipeline (no request outstanding
+  /// across the swap).
   void rebind(const nn::FeedForwardNetwork& net, RebindOptions options = {});
 
   /// False only between the unbound constructor and the first rebind().
@@ -175,8 +183,10 @@ class WorkerHost {
   /// from here on. Requires an idle pipeline (no request outstanding).
   void set_timeline(serve::FaultTimeline timeline);
 
-  /// Installs the worker-death script. Windows already fired keep their
-  /// state; fresh windows apply from the current dispatch frontier on.
+  /// Replaces the worker-death script with `script`, every window armed:
+  /// a window the dispatch frontier has already passed is skipped, one it
+  /// is inside fires at the next dispatch. The next rebind() re-arms the
+  /// config's script instead.
   void set_crash_script(std::vector<CrashWindow> script);
 
   /// Submits one request to the pipeline; the dispatcher may ship it to a

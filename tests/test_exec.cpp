@@ -19,7 +19,6 @@
 #include "exec/injector_backend.hpp"
 #include "exec/serve_backend.hpp"
 #include "exec/simulator_backend.hpp"
-#include "exec/transport_backend.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "nn/builder.hpp"
@@ -90,7 +89,6 @@ TEST(ExecBackend, SerialInterfaceAgreesWithInjectorSemantics) {
     backend->clear();
     EXPECT_DOUBLE_EQ(backend->evaluate(x).output, nominal)
         << backend->name();
-    EXPECT_DOUBLE_EQ(backend->nominal(x), nominal) << backend->name();
     EXPECT_EQ(&backend->network(), &net);
   }
 }
@@ -127,7 +125,7 @@ TEST(ExecBackend, ParallelRunTrialsMatchesSequentialDefault) {
   // The forked transport fleet shares the serving tail (pool-parallel
   // trial scoring); platforms without POSIX fork skip just this backend.
   std::unique_ptr<TransportBackend> transport_backend;
-  if (TransportBackend::available()) {
+  if (transport::WorkerHost::available()) {
     TransportBackendOptions transport_options;
     transport_options.workers = 2;
     transport_backend =
@@ -749,6 +747,140 @@ TEST(Adversary, SearchesScoreOnAnyBackend) {
   for (std::size_t i = 0; i < exhaustive_analytic.neurons.size(); ++i) {
     EXPECT_EQ(exhaustive_analytic.neurons[i].neuron,
               exhaustive_simulated.neurons[i].neuron);
+  }
+}
+
+/// Every serving backend this platform can run, with `replicas` workers
+/// and options that leave outputs latency-independent.
+std::vector<std::unique_ptr<EvalBackend>> serving_backends(
+    const nn::FeedForwardNetwork& net, std::size_t replicas) {
+  std::vector<std::unique_ptr<EvalBackend>> backends;
+  ServeBackendOptions serve_options;
+  serve_options.replicas = replicas;
+  backends.push_back(std::make_unique<ServeBackend>(net, serve_options));
+  if (transport::WorkerHost::available()) {
+    TransportBackendOptions transport_options;
+    transport_options.workers = replicas;
+    backends.push_back(
+        std::make_unique<TransportBackend>(net, transport_options));
+  }
+  return backends;
+}
+
+TEST(ExecBackend, RepeatedCampaignsReuseOneServeRuntime) {
+  // Four run_campaign calls on ONE ServeBackend, with serial evaluations
+  // between them, serve on one pool: the first call builds it and every
+  // later call rebinds it, so each campaign equals a fresh backend's, bit
+  // for bit, under heavy-tail latencies and a straggler cut.
+  const auto net = exec_net(137);
+  fault::CampaignConfig config;
+  config.attack = fault::AttackKind::kRandomByzantine;
+  config.trials = 6;
+  config.probes_per_trial = 4;
+  config.convention = theory::CapacityConvention::kTransmittedValueBound;
+  const auto counts = counts_for(net, config.attack);
+  const auto options = options_for(config.attack);
+  ServeBackendOptions serve_options;
+  serve_options.replicas = 2;
+  serve_options.latency = {dist::LatencyKind::kHeavyTail, 1.0, 50.0, 0.3};
+  serve_options.straggler_cut = {2, 1};
+  serve_options.seed = 139;
+  ServeBackend backend(net, serve_options);
+  EXPECT_EQ(backend.runtime(), nullptr);  // nothing built yet
+
+  fault::FaultPlan plan;
+  plan.neurons = {{1, 0, fault::NeuronFaultKind::kCrash, 0.0}};
+  const serve::ReplicaPool* runtime = nullptr;
+  for (std::size_t campaign = 0; campaign < 4; ++campaign) {
+    config.seed = 149 + campaign;
+    const auto actual = fault::run_campaign(net, counts, config, options,
+                                            backend);
+    ServeBackend fresh(net, serve_options);
+    const auto expected =
+        fault::run_campaign(net, counts, config, options, fresh);
+    const std::string what = "campaign " + std::to_string(campaign);
+    EXPECT_EQ(bits(actual.observed_max), bits(expected.observed_max)) << what;
+    EXPECT_EQ(bits(actual.per_trial_worst.mean),
+              bits(expected.per_trial_worst.mean))
+        << what;
+    if (campaign == 0) runtime = backend.runtime();
+    ASSERT_NE(backend.runtime(), nullptr);
+    EXPECT_EQ(backend.runtime(), runtime) << what;
+    const auto report = backend.runtime()->report();
+    EXPECT_EQ(report.rebinds, campaign) << what;
+    EXPECT_EQ(report.completed, config.trials * config.probes_per_trial)
+        << what;
+    // Serial traffic between campaigns moves the request stream on; the
+    // next campaign's rebind restarts it.
+    backend.install(plan);
+    backend.evaluate(std::vector<double>{0.4, 0.6});
+  }
+}
+
+TEST(ExecBackend, EvaluateAfterRunTrialsReinstallsTheInstalledPlan) {
+  // install -> run_trials -> evaluate on both runtimes: the trial stream
+  // installs its own timeline, and the next evaluate() still runs under
+  // the plan installed before it, then fault-free after clear().
+  const auto net = exec_net(151);
+  const std::vector<double> x{0.7, 0.2};
+  fault::FaultPlan plan;
+  plan.convention = theory::CapacityConvention::kTransmittedValueBound;
+  plan.neurons = {{1, 4, fault::NeuronFaultKind::kCrash, 0.0},
+                  {2, 3, fault::NeuronFaultKind::kByzantine, 0.8}};
+  fault::Injector injector(net);
+  const double damaged = injector.damaged(plan, x);
+  const double nominal = injector.nominal(x);
+  ASSERT_NE(damaged, nominal);
+
+  fault::CampaignConfig config;
+  config.trials = 3;
+  config.probes_per_trial = 2;
+  config.seed = 157;
+  const auto trials = fault::make_campaign_trials(
+      net, counts_for(net, config.attack), config);
+  for (const auto& backend : serving_backends(net, 2)) {
+    backend->install(plan);
+    EXPECT_EQ(backend->evaluate(x).output, damaged) << backend->name();
+    backend->run_trials(trials);
+    EXPECT_EQ(backend->evaluate(x).output, damaged) << backend->name();
+    backend->clear();
+    EXPECT_EQ(backend->evaluate(x).output, nominal) << backend->name();
+  }
+}
+
+TEST(ExecBackend, TransportCrashScriptFiresInEveryRunTrialsCall) {
+  // A TransportConfig crash script is armed when the fleet is built and
+  // re-armed by every rebind: each run_trials call kills and respawns one
+  // worker per window, and still serves the serve backend's results.
+  if (!transport::WorkerHost::available()) {
+    GTEST_SKIP() << "no POSIX fork/socketpair on this platform";
+  }
+  const auto net = exec_net(163);
+  fault::CampaignConfig config;
+  config.attack = fault::AttackKind::kRandomCrash;
+  config.trials = 8;
+  config.probes_per_trial = 4;
+  config.seed = 167;
+  const auto trials = fault::make_campaign_trials(
+      net, counts_for(net, config.attack), config);
+
+  TransportBackendOptions options;
+  options.workers = 2;
+  options.crash_script = {{0, 4, 12}, {1, 20, 28}};
+  TransportBackend transport(net, options);
+  ServeBackend serve(net);
+  const auto expected = serve.run_trials(trials);
+  for (int call = 0; call < 3; ++call) {
+    const auto actual = transport.run_trials(trials);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t t = 0; t < expected.size(); ++t) {
+      EXPECT_EQ(bits(actual[t].worst_error), bits(expected[t].worst_error))
+          << "call " << call << ", trial " << t;
+    }
+    const auto report = transport.runtime()->report();
+    EXPECT_EQ(report.worker_restarts, options.crash_script.size())
+        << "call " << call;
+    EXPECT_EQ(report.completed, config.trials * config.probes_per_trial);
   }
 }
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "fault/injector.hpp"
 #include "load/replay.hpp"
@@ -15,6 +17,7 @@
 #include "nn/builder.hpp"
 #include "serve/pool.hpp"
 #include "serve/timeline.hpp"
+#include "tests/text_mutation.hpp"
 #include "transport/host.hpp"
 #include "transport/worker.hpp"
 
@@ -192,6 +195,70 @@ TEST(Trace, SaveLoadRoundTripsExactlyAndRejectsMalformedInput) {
   EXPECT_FALSE(load_trace(past_end).has_value());
   std::istringstream no_duration("# wnf-arrival-trace v1\n0.5 0\n");
   EXPECT_FALSE(load_trace(no_duration).has_value());
+  // Each line takes exactly its tokens, and a tenant is unsigned decimal
+  // digits that fit in 32 bits: nothing is read as something else.
+  for (const char* line :
+       {"0.5 -1", "0.5 +3", "0.5 1e3", "0.5 3.7", "0.5 3 junk", "0.5",
+        "0.5 4294967296", "0.5x 3", "nan 0", "inf 0"}) {
+    std::istringstream doc(std::string("# wnf-arrival-trace v1\nduration 1\n") +
+                           line + "\n");
+    EXPECT_FALSE(load_trace(doc).has_value()) << line;
+  }
+  for (const char* duration :
+       {"duration 1 junk", "duration inf", "duration nan", "duration 1x",
+        "duration"}) {
+    std::istringstream doc(std::string("# wnf-arrival-trace v1\n") +
+                           duration + "\n0.5 0\n");
+    EXPECT_FALSE(load_trace(doc).has_value()) << duration;
+  }
+  std::istringstream widest(
+      "# wnf-arrival-trace v1\nduration 1\n0.5 4294967295\n");
+  const auto widest_trace = load_trace(widest);
+  ASSERT_TRUE(widest_trace.has_value());
+  EXPECT_EQ(widest_trace->arrivals[0].tenant, 4294967295u);
+}
+
+TEST(Trace, SeededMutationsNeverAbortAndReloadToAFixedPoint) {
+  // Seeded mutants of a saved three-tenant Poisson trace and of a short
+  // hand-written one. Whatever the loader makes of one, it returns (no
+  // abort, no exception), and whatever it accepts saves to text that loads
+  // and saves to the same bytes.
+  Rng trace_rng(17);
+  const ArrivalTrace tenants[3] = {poisson_trace(20.0, 1.0, trace_rng, 0),
+                                   poisson_trace(10.0, 1.0, trace_rng, 1),
+                                   poisson_trace(5.0, 1.0, trace_rng, 12)};
+  const auto save = [](const ArrivalTrace& trace) {
+    std::ostringstream out;
+    save_trace(trace, out);
+    return out.str();
+  };
+  const auto load = [](const std::string& text) {
+    std::istringstream in(text);
+    return load_trace(in);
+  };
+  const std::string seeds[2] = {
+      save(merge_traces(tenants)),
+      "# wnf-arrival-trace v1\nduration 2.5\n0 0\n0.25 3\n\n1.5 70000\n"};
+  ASSERT_TRUE(load(seeds[0]).has_value() && load(seeds[1]).has_value());
+  Rng rng(0x7ACE);
+  int accepted = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    const std::size_t pick = rng.uniform_index(2);
+    std::string doc = seeds[pick];
+    for (std::size_t n = 1 + rng.uniform_index(3); n > 0; --n) {
+      doc = mutate(doc, seeds[1 - pick], rng);
+    }
+    std::optional<ArrivalTrace> loaded;
+    EXPECT_NO_THROW(loaded = load(doc)) << doc;
+    if (!loaded) continue;
+    ++accepted;
+    const std::string first = save(*loaded);
+    const auto reloaded = load(first);
+    ASSERT_TRUE(reloaded.has_value()) << doc;
+    EXPECT_EQ(save(*reloaded), first) << doc;
+  }
+  // The mutants reach the accepting path, not only the rejecting one.
+  EXPECT_GT(accepted, 200);
 }
 
 // ------------------------------------------------ wall-clock fault windows

@@ -1,13 +1,19 @@
 // Serving-runtime tests: replica-count invariance (the determinism
 // contract), fault-timeline semantics over the request stream, equivalence
-// with the sequential boosting engine, and the bounded-queue behavior.
+// with the sequential boosting engine, the bounded-queue behavior, and
+// rebinding a live pool to another network.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "dist/boosting.hpp"
 #include "fault/injector.hpp"
 #include "nn/builder.hpp"
+#include "obs/trace.hpp"
 #include "serve/pool.hpp"
 #include "serve/timeline.hpp"
 
@@ -450,8 +456,152 @@ TEST(Serve, ReportAggregatesThroughputPercentilesAndResets) {
   EXPECT_EQ(report.shed, 0u);
   EXPECT_EQ(report.resubmitted, 0u);
   EXPECT_EQ(report.worker_restarts, 0u);
-  // Likewise an in-process pool is never rebound.
+  // And this pool was never rebound.
   EXPECT_EQ(report.rebinds, 0u);
+}
+
+/// Bit-for-bit equality of two result streams.
+void expect_identical(const std::vector<RequestResult>& actual,
+                      const std::vector<RequestResult>& expected,
+                      const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].id, expected[i].id) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[i].output),
+              std::bit_cast<std::uint64_t>(expected[i].output))
+        << what << ", request " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[i].completion_time),
+              std::bit_cast<std::uint64_t>(expected[i].completion_time))
+        << what << ", request " << i;
+    EXPECT_EQ(actual[i].resets_sent, expected[i].resets_sent) << what;
+  }
+}
+
+TEST(Serve, RebindMatchesAFreshPoolBitForBit) {
+  // One pool rebound A -> B -> A at 1, 2 and 8 replicas, under heavy-tail
+  // latencies and a straggler cut: each stream equals a fresh pool's on
+  // that network, bit for bit. The A -> B stream runs under a fault
+  // timeline; the B -> A stream sets none, so it also shows that rebind()
+  // cleared the timeline.
+  const auto net_a = serve_net(13);
+  const auto net_b = serve_net(14);
+  const auto workload = serve_workload(40, 21);
+  FaultTimeline timeline;
+  fault::FaultPlan crash;
+  crash.neurons = {{1, 3, fault::NeuronFaultKind::kCrash, 0.0}};
+  fault::FaultPlan byzantine;
+  byzantine.neurons = {{2, 0, fault::NeuronFaultKind::kByzantine, 0.6}};
+  timeline.add(10, 25, crash);
+  timeline.add(30, 34, byzantine);
+
+  ServeConfig config;
+  config.latency = heavy_tail();
+  config.straggler_cut = {2, 1};
+  config.seed = 99;
+  const auto serve = [&](ReplicaPool& pool, const FaultTimeline* scenario) {
+    if (scenario != nullptr) pool.set_timeline(*scenario);
+    EXPECT_EQ(pool.submit_batch(workload), workload.size());
+    return pool.drain();
+  };
+  const auto fresh = [&](const nn::FeedForwardNetwork& net,
+                         const FaultTimeline* scenario) {
+    ReplicaPool pool(net, config);
+    return serve(pool, scenario);
+  };
+
+  for (const std::size_t replicas : {1u, 2u, 8u}) {
+    config.replicas = replicas;
+    const std::string what = std::to_string(replicas) + " replicas";
+    ReplicaPool pool(net_a, config);
+    expect_identical(serve(pool, &timeline), fresh(net_a, &timeline),
+                     what + ", A");
+    pool.rebind(net_b);
+    EXPECT_EQ(&pool.network(), &net_b);
+    EXPECT_EQ(pool.next_request_id(), 0u);
+    expect_identical(serve(pool, &timeline), fresh(net_b, &timeline),
+                     what + ", A -> B");
+    pool.rebind(net_a);
+    expect_identical(serve(pool, nullptr), fresh(net_a, nullptr),
+                     what + ", B -> A");
+    const auto report = pool.report();
+    EXPECT_EQ(report.completed, workload.size()) << what;
+    EXPECT_EQ(report.rebinds, 2u) << what;
+    EXPECT_EQ(pool.replica_count(), replicas);
+  }
+}
+
+TEST(ServeDeathTest, RebindWithARequestOutstandingAborts) {
+  // A request accepted and not yet delivered may not straddle a rebind.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto net = serve_net();
+  ReplicaPool pool(net, ServeConfig{});
+  ASSERT_TRUE(pool.submit(serve_workload(1)[0]));
+  EXPECT_DEATH(pool.rebind(net), "precondition violated: outstanding_");
+}
+
+/// Tracing on for one scope: the tracing-gated histograms record only
+/// while it is on.
+struct TracingOn {
+  TracingOn() { obs::set_enabled(true); }
+  ~TracingOn() { obs::set_enabled(false); }
+};
+
+TEST(Serve, RebindResetsTheRegistryForPerDeploymentDeltas) {
+  // Every serve.* metric driven to a known nonzero value, then zeroed by
+  // rebind() in the same registry object, so a Snapshotter source pointer
+  // registered before the rebind stays valid and reports the reset.
+  const auto net = serve_net();
+  const auto workload = serve_workload(10, 61);
+  ServeConfig config;
+  config.replicas = 2;
+  config.queue_capacity = 4;
+  config.latency = heavy_tail();
+  config.straggler_cut = {2, 1};
+  ReplicaPool pool(net, config);
+  const obs::MetricsRegistry* registry = &pool.metrics();
+  const auto value = [&](const std::string& name) -> std::int64_t {
+    for (const auto& row : registry->snapshot().counters) {
+      if (row.name == name) return row.value;
+    }
+    ADD_FAILURE() << "no counter " << name;
+    return -1;
+  };
+  const auto count = [&](const std::string& name) -> std::uint64_t {
+    for (const auto& row : registry->snapshot().histograms) {
+      if (row.name == name) return row.count;
+    }
+    ADD_FAILURE() << "no histogram " << name;
+    return 0;
+  };
+  {
+    const TracingOn tracing;
+    // Four fit the queue, six are shed; the pipeline drains only after.
+    std::size_t accepted = 0;
+    for (const auto& x : workload) accepted += pool.submit(x) ? 1 : 0;
+    EXPECT_EQ(accepted, 4u);
+    EXPECT_EQ(pool.drain().size(), 4u);
+  }
+  EXPECT_EQ(value("serve.rejected"), 6);
+  // The cut resets (7-5) senders at each of 5 receivers, plus 1 at the
+  // output, per request.
+  EXPECT_EQ(value("serve.resets_sent"), 4 * (2 * 5 + 1));
+  const std::uint64_t traced = WNF_OBS_ENABLED ? 4 : 0;
+  EXPECT_EQ(count("serve.completion_time"), traced);
+  EXPECT_EQ(count("serve.queue_depth"), traced);
+
+  pool.rebind(net);
+  EXPECT_EQ(registry, &pool.metrics());  // same registry object
+  for (const auto& row : registry->snapshot().counters) {
+    EXPECT_EQ(row.value, 0) << row.name << " survived the rebind";
+  }
+  for (const auto& row : registry->snapshot().histograms) {
+    EXPECT_EQ(row.count, 0u) << row.name << " survived the rebind";
+  }
+  const auto report = pool.report();
+  EXPECT_EQ(report.completed, 0u);
+  EXPECT_EQ(report.rejected, 0u);
+  EXPECT_EQ(report.resets_sent, 0u);
+  EXPECT_EQ(report.rebinds, 1u);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "exec/injector_backend.hpp"
 #include "exec/serve_backend.hpp"
 #include "exec/simulator_backend.hpp"
-#include "exec/transport_backend.hpp"
 #include "fault/adversary.hpp"
 #include "fault/campaign.hpp"
 #include "nn/builder.hpp"

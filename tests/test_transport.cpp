@@ -22,7 +22,6 @@
 
 #include "exec/serve_backend.hpp"
 #include "exec/simulator_backend.hpp"
-#include "exec/transport_backend.hpp"
 #include "fault/campaign.hpp"
 #include "nn/builder.hpp"
 #include "nn/serialize.hpp"
@@ -1436,7 +1435,6 @@ TEST(TransportBackend, SerialPathMatchesServeBackend) {
   serve.clear();
   transport.clear();
   EXPECT_DOUBLE_EQ(transport.evaluate(x).output, serve.evaluate(x).output);
-  EXPECT_DOUBLE_EQ(transport.nominal(x), serve.nominal(x));
 }
 
 TEST(TransportBackend, RunTrialsBitIdenticalToServeBackend) {
@@ -1542,7 +1540,7 @@ TEST(TransportBackend, RepeatedCampaignsReuseOneFleet) {
   transport_options.workers = 2;
   transport_options.latency = heavy_tail();
   exec::TransportBackend transport(net, transport_options);
-  EXPECT_EQ(transport.fleet(), nullptr);  // nothing forked yet
+  EXPECT_EQ(transport.runtime(), nullptr);  // nothing forked yet
 
   for (std::size_t campaign = 0; campaign < 5; ++campaign) {
     const auto expected = fault::run_campaign(net, counts, config, fep, serve);
@@ -1550,14 +1548,14 @@ TEST(TransportBackend, RepeatedCampaignsReuseOneFleet) {
         fault::run_campaign(net, counts, config, fep, transport);
     EXPECT_EQ(actual.observed_max, expected.observed_max)
         << "campaign " << campaign;
-    ASSERT_NE(transport.fleet(), nullptr);
-    EXPECT_EQ(transport.fleet()->rebinds(), campaign);
-    EXPECT_EQ(transport.last_report().completed,
+    ASSERT_NE(transport.runtime(), nullptr);
+    EXPECT_EQ(transport.runtime()->rebinds(), campaign);
+    EXPECT_EQ(transport.runtime()->report().completed,
               config.trials * config.probes_per_trial);
   }
   // Five campaigns, two forks, total — the fleet never re-forked.
-  EXPECT_EQ(transport.fleet()->total_spawns(), 2u);
-  EXPECT_EQ(transport.fleet()->rebinds(), 4u);
+  EXPECT_EQ(transport.runtime()->total_spawns(), 2u);
+  EXPECT_EQ(transport.runtime()->rebinds(), 4u);
 }
 
 TEST(TransportBackend, CrossCheckHoldsWithSigkillMidWindow) {
@@ -1592,7 +1590,7 @@ TEST(TransportBackend, CrossCheckHoldsWithSigkillMidWindow) {
   EXPECT_EQ(check.first.observed_max, check.second.observed_max);
   // Exactly one scripted kill, its unacknowledged probes resubmitted,
   // everything completed.
-  const auto& report = transport.last_report();
+  const auto& report = transport.runtime()->report();
   EXPECT_EQ(report.worker_restarts, 1u);
   EXPECT_LE(report.resubmitted, TransportConfig{}.window);
   EXPECT_EQ(report.completed, config.trials * config.probes_per_trial);
@@ -1642,9 +1640,9 @@ TEST(TransportBackend, TimelineCampaignWithRealKillsMatchesSimulator) {
           << "trial " << t << " on " << workers << " workers";
     }
     EXPECT_EQ(actual.faulty_trials, expected.faulty_trials);
-    EXPECT_EQ(transport.last_report().worker_restarts, 2u)
+    EXPECT_EQ(transport.runtime()->report().worker_restarts, 2u)
         << workers << " workers";
-    EXPECT_EQ(transport.last_report().completed,
+    EXPECT_EQ(transport.runtime()->report().completed,
               config.trials * config.probes_per_trial);
   }
 }
