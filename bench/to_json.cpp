@@ -94,6 +94,25 @@ double calibration_pass() {
   return (ns + static_cast<double>(last & 1)) / static_cast<double>(kDraws);
 }
 
+constexpr int kRepetitions = 5;
+
+/// One repetition of a scenario: a calibration pass, then `fn` timed and
+/// folded into `entry`'s best-of ns/op and calibration (the first
+/// repetition sets both). Returns this repetition's ns/op.
+template <typename Fn>
+double time_repetition(BenchEntry& entry, bool first, Fn&& fn) {
+  const double cal = calibration_pass();
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  const double ns = std::chrono::duration<double, std::nano>(
+                        std::chrono::steady_clock::now() - start)
+                        .count() /
+                    static_cast<double>(entry.ops);
+  if (first || ns < entry.ns_per_op) entry.ns_per_op = ns;
+  if (first || cal < entry.cal_ns_per_op) entry.cal_ns_per_op = cal;
+  return ns;
+}
+
 /// Best-of-5 wall time for `fn`, reported as ns per `ops`, with a
 /// calibration pass interleaved before every repetition. Mins suppress
 /// scheduler noise (syscall-bound scenarios have a long right tail), and
@@ -106,16 +125,8 @@ BenchEntry time_scenario(std::string name, std::size_t ops, Fn&& fn) {
   BenchEntry entry;
   entry.name = std::move(name);
   entry.ops = ops;
-  for (int rep = 0; rep < 5; ++rep) {
-    const double cal = calibration_pass();
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const double ns = std::chrono::duration<double, std::nano>(
-                          std::chrono::steady_clock::now() - start)
-                          .count() /
-                      static_cast<double>(ops);
-    if (rep == 0 || ns < entry.ns_per_op) entry.ns_per_op = ns;
-    if (rep == 0 || cal < entry.cal_ns_per_op) entry.cal_ns_per_op = cal;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    time_repetition(entry, rep == 0, fn);
   }
   return entry;
 }
@@ -190,27 +201,42 @@ BenchFile measure() {
     for (std::size_t l = 1; l <= dense_twin.layer_count(); ++l) {
       dense_twin.layer(l).clear_topology();
     }
+    // The two scenarios alternate repetition by repetition, and the check
+    // takes the median of the per-pair sparse/dense ratios: a few noisy
+    // milliseconds on a shared host then spoil one pair, not every sparse
+    // repetition. Each row still reports its own best of five.
+    BenchEntry dense_entry;
+    dense_entry.name = "forward/dense_vs_sparse_matched_params/dense";
+    dense_entry.ops = workload.size();
+    BenchEntry sparse_entry;
+    sparse_entry.name = "forward/dense_vs_sparse_matched_params/sparse";
+    sparse_entry.ops = workload.size();
     double dense_checksum = 0.0;
-    BenchEntry dense_entry = time_scenario(
-        "forward/dense_vs_sparse_matched_params/dense", workload.size(), [&] {
-          dense_checksum = 0.0;
-          for (const auto& x : workload) {
-            dense_checksum += dense_twin.evaluate(x);
-          }
-        });
-    dense_entry.checksum = dense_checksum;
     double sparse_checksum = 0.0;
-    BenchEntry sparse_entry = time_scenario(
-        "forward/dense_vs_sparse_matched_params/sparse", workload.size(), [&] {
-          sparse_checksum = 0.0;
-          for (const auto& x : workload) {
-            sparse_checksum += sparse_net.evaluate(x);
-          }
-        });
+    std::vector<double> ratios;
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      const double dense_ns = time_repetition(dense_entry, rep == 0, [&] {
+        dense_checksum = 0.0;
+        for (const auto& x : workload) dense_checksum += dense_twin.evaluate(x);
+      });
+      const double sparse_ns = time_repetition(sparse_entry, rep == 0, [&] {
+        sparse_checksum = 0.0;
+        for (const auto& x : workload) {
+          sparse_checksum += sparse_net.evaluate(x);
+        }
+      });
+      ratios.push_back(sparse_ns / dense_ns);
+    }
+    dense_entry.checksum = dense_checksum;
     sparse_entry.checksum = sparse_checksum;
+    std::sort(ratios.begin(), ratios.end());
+    const double median_ratio = ratios[ratios.size() / 2];
+    std::printf("dense_vs_sparse_matched_params: median sparse/dense %.3f "
+                "over %d alternated pairs\n",
+                median_ratio, kRepetitions);
     WNF_ASSERT(sparse_checksum == dense_checksum &&
                "CSR and dense kernels must agree bit for bit");
-    WNF_ASSERT(sparse_entry.ns_per_op < dense_entry.ns_per_op &&
+    WNF_ASSERT(median_ratio < 1.0 &&
                "the CSR path must beat the dense kernel at density 0.2");
     file.benches.push_back(std::move(dense_entry));
     file.benches.push_back(std::move(sparse_entry));
@@ -745,6 +771,7 @@ int main(int argc, char** argv) {
   bench::bench_header(
       "bench_to_json — smoke-bench perf snapshot",
       "per-scenario ns/op + output checksums; feeds CI's regression gate");
+  std::remove(out.c_str());  // an emit that aborts leaves no stale file
   const BenchFile file = measure();
   write_json(file, out);
   std::printf("wrote %zu bench entries to %s (calibration %.2f ns/op)\n",

@@ -283,10 +283,9 @@ int main(int argc, char** argv) {
 
   Table tenants({"tenant", "offered", "completed", "p50 s", "p99 s",
                  "restarts", "resubmitted"});
-  for (std::size_t t = 0; t < 2; ++t) {
-    const auto& ts = open.tenants[t];
-    const auto fr = fleet_report(t);
-    tenants.add_row({std::to_string(t), std::to_string(ts.offered),
+  for (const auto& ts : open.tenants) {
+    const auto fr = fleet_report(ts.tenant);  // fleet t serves tenant t
+    tenants.add_row({std::to_string(ts.tenant), std::to_string(ts.offered),
                      std::to_string(ts.completed), Table::sci(ts.p50, 2),
                      Table::sci(ts.p99, 2),
                      std::to_string(fr.worker_restarts),

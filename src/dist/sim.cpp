@@ -38,11 +38,12 @@ NetworkSimulator::NetworkSimulator(const nn::FeedForwardNetwork& net,
   fire_.reserve(max_width);
   order_.reserve(max_width);
   input_.reserve(net_.input_dim());
-  hooks_.pre_activation = [this](std::size_t l, std::span<const double> y_prev,
-                                 std::span<double> s) {
+  hooks_.pre_activation = [this](std::size_t l,
+                                 nn::BlockView<const double> y_prev,
+                                 nn::BlockView<double> s) {
     deliver(l, y_prev, s);
   };
-  hooks_.post_activation = [this](std::size_t l, std::span<double> y) {
+  hooks_.post_activation = [this](std::size_t l, nn::BlockView<double> y) {
     transmit(l, y);
   };
 }
@@ -129,11 +130,14 @@ void NetworkSimulator::substitute_stragglers(std::size_t l,
   }
 }
 
-void NetworkSimulator::deliver(std::size_t l, std::span<const double> y_prev,
-                               std::span<double> s) const {
+void NetworkSimulator::deliver(std::size_t l,
+                               nn::BlockView<const double> y_prev_block,
+                               nn::BlockView<double> s_block) const {
   const nn::LayerTopology* topo =
       l <= net_.layer_count() ? net_.layer(l).topology() : nullptr;
   if (topo != nullptr && topo->has_edge_capacities()) {
+    const std::span<const double> y_prev = y_prev_block.values();
+    const std::span<double> s = s_block.values();
     // Per-edge channels clamp what each edge delivers (receiver side, on
     // top of the sender-side global C), so the layer's rows are recomputed
     // through them. With uniform non-binding capacities this accumulates
@@ -152,13 +156,14 @@ void NetworkSimulator::deliver(std::size_t l, std::span<const double> y_prev,
       s[j] += bias[j];
     }
   }
-  fault::apply_synapse_faults(plan_, net_, l, y_prev, s,
+  fault::apply_synapse_faults(plan_, net_, l, y_prev_block, s_block,
                               /*edge_channels=*/true);
 }
 
-void NetworkSimulator::transmit(std::size_t l, std::span<double> y) {
+void NetworkSimulator::transmit(std::size_t l, nn::BlockView<double> block) {
   // Messages carry no nominal trace, so a perturbing neuron perturbs y.
-  fault::apply_neuron_faults(plan_, l, y, y);
+  fault::apply_neuron_faults(plan_, l, block, block);
+  const std::span<double> y = block.values();
   const double capacity = config_.capacity;  // a local: `y` cannot alias it
   for (double& v : y) v = channel(v, capacity);
   history_next_[l - 1].assign(y.begin(), y.end());

@@ -124,13 +124,14 @@ class NetworkSimulator {
   /// stragglers in `y`, the values layer l-1 sent, per policy_.
   void substitute_stragglers(std::size_t l, std::span<double> y) const;
 
-  /// Pre-activation hook: per-edge channels, then synapse faults.
-  void deliver(std::size_t l, std::span<const double> y_prev,
-               std::span<double> s) const;
+  /// Pre-activation hook: per-edge channels, then synapse faults. A
+  /// request is one probe, so its blocks are the layers' plain vectors.
+  void deliver(std::size_t l, nn::BlockView<const double> y_prev,
+               nn::BlockView<double> s) const;
 
   /// Post-activation hook: neuron faults, the capacity-C clamp, the
   /// hold-last history row, then the next receiver set's cut.
-  void transmit(std::size_t l, std::span<double> y);
+  void transmit(std::size_t l, nn::BlockView<double> y);
 
   const nn::FeedForwardNetwork& net_;
   SimConfig config_;

@@ -10,10 +10,8 @@ namespace wnf::exec {
 void compute_nominal(const nn::FeedForwardNetwork& net, Trial& trial,
                      nn::Workspace& ws) {
   trial.nominal.resize(trial.probes.size());
-  for (std::size_t i = 0; i < trial.probes.size(); ++i) {
-    const auto& x = trial.probes[i];
-    trial.nominal[i] = net.evaluate({x.data(), x.size()}, ws);
-  }
+  if (trial.probes.empty()) return;
+  net.evaluate_hooked(ws.pack(trial.probes), {}, ws, trial.nominal);
 }
 
 void finish_trial(const Trial& trial, TrialResult& result) {

@@ -41,7 +41,8 @@ struct Trial {
 };
 
 /// Fills `trial.nominal` with `net`'s fault-free output for each of
-/// `trial.probes`, evaluated in the caller-owned `ws`.
+/// `trial.probes`, evaluated as one probe block in the caller-owned `ws`
+/// (each output bit-identical to a one-probe pass).
 void compute_nominal(const nn::FeedForwardNetwork& net, Trial& trial,
                      nn::Workspace& ws);
 
@@ -82,8 +83,10 @@ class EvalBackend {
   /// The trial's worst error (finish_trial): installs its plan, evaluates
   /// its probes, scores them against its nominal outputs, and clears — the
   /// scoring primitive adversary searches use, with the nominals computed
-  /// once per search instead of once per candidate plan.
-  double worst_output_error(const Trial& trial);
+  /// once per search instead of once per candidate plan. The base drives
+  /// install/evaluate probe by probe; the Injector overrides it with one
+  /// probe block and the same bits.
+  virtual double worst_output_error(const Trial& trial);
 
   /// Runs every trial: installs its plan, evaluates its probes, and scores
   /// them against the trial's nominal outputs (finish_trial). Returns one

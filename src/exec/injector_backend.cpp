@@ -1,8 +1,23 @@
 #include "exec/injector_backend.hpp"
 
+#include "util/contract.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wnf::exec {
+namespace {
+
+// The trial's probes through `injector` as one block, scored against the
+// trial's nominal outputs; `outputs` is the block's scratch.
+void run_trial(fault::Injector& injector, const Trial& trial,
+               std::vector<double>& outputs, TrialResult& result) {
+  outputs.resize(trial.probes.size());
+  if (!outputs.empty()) injector.damaged(trial.plan, trial.probes, outputs);
+  result.probes.reserve(outputs.size());
+  for (const double output : outputs) result.probes.push_back({output, 0.0, 0});
+  finish_trial(trial, result);
+}
+
+}  // namespace
 
 InjectorBackend::InjectorBackend(const nn::FeedForwardNetwork& net)
     : net_(net), injector_(net) {}
@@ -19,18 +34,22 @@ ProbeResult InjectorBackend::evaluate(std::span<const double> x) {
   return {injector_.damaged(plan_, x), 0.0, 0};
 }
 
+double InjectorBackend::worst_output_error(const Trial& trial) {
+  WNF_EXPECTS(!trial.probes.empty());
+  fault::validate_plan(trial.plan, net_);  // as install() would
+  clear();                                 // as the base leaves it
+  TrialResult result;
+  run_trial(injector_, trial, outputs_, result);
+  return result.worst_error;
+}
+
 std::vector<TrialResult> InjectorBackend::run_trials(
     std::span<const Trial> trials) {
   std::vector<TrialResult> results(trials.size());
   parallel_for(0, trials.size(), [&](std::size_t t) {
-    const Trial& trial = trials[t];
     fault::Injector injector(net_);  // Injectors are not thread-safe
-    results[t].probes.reserve(trial.probes.size());
-    for (const auto& x : trial.probes) {
-      results[t].probes.push_back(
-          {injector.damaged(trial.plan, {x.data(), x.size()}), 0.0, 0});
-    }
-    finish_trial(trial, results[t]);
+    std::vector<double> outputs;
+    run_trial(injector, trials[t], outputs, results[t]);
   });
   return results;
 }

@@ -9,8 +9,10 @@
 namespace wnf::exec {
 
 /// Wraps one fault::Injector. run_trials parallelises over the thread pool
-/// with one Injector per in-flight trial, reproducing bit-for-bit what the
-/// pre-backend fault::run_campaign computed.
+/// with one Injector per in-flight trial and runs each trial's probes as
+/// one block, reproducing bit-for-bit what the pre-backend
+/// fault::run_campaign computed probe by probe. worst_output_error scores
+/// an adversary search's trial as one block too.
 class InjectorBackend final : public EvalBackend {
  public:
   explicit InjectorBackend(const nn::FeedForwardNetwork& net);
@@ -20,12 +22,14 @@ class InjectorBackend final : public EvalBackend {
   void install(const fault::FaultPlan& plan) override;
   void clear() override;
   ProbeResult evaluate(std::span<const double> x) override;
+  double worst_output_error(const Trial& trial) override;
   std::vector<TrialResult> run_trials(std::span<const Trial> trials) override;
 
  private:
   const nn::FeedForwardNetwork& net_;
   fault::Injector injector_;  ///< serial-path evaluator
   fault::FaultPlan plan_;
+  std::vector<double> outputs_;  ///< worst_output_error's probe block
 };
 
 }  // namespace wnf::exec

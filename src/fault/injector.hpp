@@ -26,6 +26,15 @@ class Injector {
   /// damage — matching Theorem 2's worst-case model).
   double damaged(const FaultPlan& plan, std::span<const double> x);
 
+  /// damaged() for every probe of a block in one forward pass: out[i] for
+  /// probes[i], bit-identical to damaged(plan, probes[i]). Under the
+  /// perturbation convention a plan with Byzantine neurons first records
+  /// the block's nominal activations once, in the workspace. Requires
+  /// out.size() == probes.size() >= 1.
+  void damaged(const FaultPlan& plan,
+               std::span<const std::vector<double>> probes,
+               std::span<double> out);
+
   /// |nominal - damaged| for `x`.
   double output_error(const FaultPlan& plan, std::span<const double> x);
 
@@ -34,6 +43,10 @@ class Injector {
                             std::span<const std::vector<double>> inputs);
 
  private:
+  // The damaged pass over a packed block (nn::Workspace::pack layout).
+  void damaged_block(const FaultPlan& plan, std::span<const double> x,
+                     std::span<double> out);
+
   const nn::FeedForwardNetwork& net_;
   nn::Workspace workspace_;
 };

@@ -68,8 +68,8 @@ void validate_plan(const FaultPlan& plan, const nn::FeedForwardNetwork& net) {
 
 void apply_synapse_faults(const FaultPlan& plan,
                           const nn::FeedForwardNetwork& net, std::size_t l,
-                          std::span<const double> delivered,
-                          std::span<double> s, bool edge_channels) {
+                          nn::BlockView<const double> delivered,
+                          nn::BlockView<double> s, bool edge_channels) {
   const bool hidden = l <= net.layer_count();
   const nn::LayerTopology* channels =
       edge_channels && hidden ? net.layer(l).topology() : nullptr;
@@ -77,32 +77,43 @@ void apply_synapse_faults(const FaultPlan& plan,
     if (fault.layer != l) continue;
     const double weight = hidden ? net.layer(l).weights()(fault.to, fault.from)
                                  : net.output_weights()[fault.from];
+    const std::span<double> to = s.row(fault.to);
     if (fault.kind == SynapseFaultKind::kByzantine) {
-      s[fault.to] += weight * fault.value;  // transmits w * (y + value)
+      const double shift = weight * fault.value;  // transmits w * (y + value)
+      for (double& v : to) v += shift;
       continue;
     }
-    double d = delivered[fault.from];
-    if (channels != nullptr && channels->has_edge_capacities()) {
-      const double cap =
-          channels->edge_capacity(channels->edge_offset(fault.to, fault.from));
-      d = std::clamp(d, -cap, cap);
+    const bool clamped = channels != nullptr && channels->has_edge_capacities();
+    const double cap =
+        clamped ? channels->edge_capacity(
+                      channels->edge_offset(fault.to, fault.from))
+                : 0.0;
+    const std::span<const double> from = delivered.row(fault.from);
+    for (std::size_t p = 0; p < to.size(); ++p) {
+      const double d = clamped ? std::clamp(from[p], -cap, cap) : from[p];
+      to[p] -= weight * d;  // weight-0 view: the edge delivers nothing
     }
-    s[fault.to] -= weight * d;  // weight-0 view: the edge delivers nothing
   }
 }
 
 void apply_neuron_faults(const FaultPlan& plan, std::size_t l,
-                         std::span<const double> base, std::span<double> y) {
+                         nn::BlockView<const double> base,
+                         nn::BlockView<double> y) {
   const bool perturb =
       plan.convention == theory::CapacityConvention::kPerturbationBound;
   for (const auto& fault : plan.neurons) {
     if (fault.layer != l) continue;
+    const std::span<double> row = y.row(fault.neuron);
     if (fault.kind == NeuronFaultKind::kCrash) {
-      y[fault.neuron] = 0.0;  // Definition 2: peers read 0
+      std::fill(row.begin(), row.end(), 0.0);  // Definition 2: peers read 0
     } else if (fault.kind == NeuronFaultKind::kByzantine && perturb) {
-      y[fault.neuron] = base[fault.neuron] + fault.value;
+      const std::span<const double> nominal = base.row(fault.neuron);
+      for (std::size_t p = 0; p < row.size(); ++p) {
+        row[p] = nominal[p] + fault.value;
+      }
     } else {
-      y[fault.neuron] = fault.value;  // transmitted or frozen (stuck-at)
+      // Transmitted or frozen (stuck-at).
+      std::fill(row.begin(), row.end(), fault.value);
     }
   }
 }

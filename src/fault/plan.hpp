@@ -36,25 +36,30 @@ struct FaultPlan {
 void validate_plan(const FaultPlan& plan, const nn::FeedForwardNetwork& net);
 
 /// The fault semantics, in one place: the Injector's and the simulator's
-/// forward-pass hooks both call these two, with different arguments.
+/// forward-pass hooks both call these two, with different arguments. Both
+/// act on whole rows of a probe block (nn::BlockView), so one plan applies
+/// to every probe of the block alike, and probe p of a block is damaged
+/// exactly as a one-probe pass over probe p would be.
 /// Applies `plan`'s synapse faults into layer l (1..L+1; L+1 is the output
 /// set) to its pre-activations `s`, in plan order: a crashed synapse
-/// removes the w * d it delivered, a Byzantine one adds w * value (it
-/// transmits w * (y + value)). `delivered[i]` is what sender i of layer l-1
-/// sent. With `edge_channels` (the simulator's; the matrix path has none),
-/// a synapse of a layer with per-edge capacities delivered d clamped to its
-/// own capacity.
+/// subtracts w * d from row `to`, probe by probe, where d is what sender
+/// `from` of layer l-1 delivered (`delivered` row `from`); a Byzantine one
+/// adds w * value (it transmits w * (y + value)). With `edge_channels` (the
+/// simulator's; the matrix path has none), a synapse of a layer with
+/// per-edge capacities delivered d clamped to its own capacity.
 void apply_synapse_faults(const FaultPlan& plan,
                           const nn::FeedForwardNetwork& net, std::size_t l,
-                          std::span<const double> delivered,
-                          std::span<double> s, bool edge_channels);
+                          nn::BlockView<const double> delivered,
+                          nn::BlockView<double> s, bool edge_channels);
 
 /// Applies `plan`'s neuron faults of layer l (1..L) to its outputs `y`
-/// (Definition 2): crashed reads 0, stuck-at its frozen value, Byzantine its
-/// planned value, or base[j] + value under the perturbation convention. The
-/// Injector passes the nominal y^(l) as `base`; the simulator passes `y`,
-/// because messages carry no nominal trace.
+/// (Definition 2), row by row: a crashed neuron's row reads 0, a stuck-at
+/// or Byzantine one's its planned value, or base's row plus the value for a
+/// Byzantine neuron under the perturbation convention. The Injector passes
+/// the nominal y^(l) as `base`; the simulator passes `y`, because messages
+/// carry no nominal trace.
 void apply_neuron_faults(const FaultPlan& plan, std::size_t l,
-                         std::span<const double> base, std::span<double> y);
+                         nn::BlockView<const double> base,
+                         nn::BlockView<double> y);
 
 }  // namespace wnf::fault

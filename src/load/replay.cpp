@@ -20,7 +20,7 @@ namespace {
 /// without carrying ids around.
 struct Submitted {
   double scheduled = 0.0;  ///< wall seconds from replay start
-  std::uint32_t tenant = 0;
+  std::size_t tenant = 0;  ///< index into LoadReport::tenants
 };
 
 }  // namespace
@@ -44,14 +44,26 @@ LoadReport replay(const ArrivalTrace& trace,
 
   LoadReport report;
   report.offered = trace.size();
-  std::uint32_t max_tenant = 0;
-  for (const Arrival& arrival : trace.arrivals) {
-    max_tenant = std::max(max_tenant, arrival.tenant);
+  // The trace's distinct tenant ids, ascending, map to dense indices before
+  // the clock starts: per-tenant state grows with the number of tenants,
+  // not with the largest id, and each arrival costs one vector index.
+  // `slot` sorts the ids first, then holds arrival i's index (an index
+  // below the count of distinct 32-bit ids fits 32 bits).
+  std::vector<std::uint32_t> slot(trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    slot[i] = trace.arrivals[i].tenant;
   }
-  report.tenants.assign(trace.empty() ? 0 : std::size_t{max_tenant} + 1, {});
-  for (const Arrival& arrival : trace.arrivals) {
-    ++report.tenants[arrival.tenant].offered;
+  std::sort(slot.begin(), slot.end());
+  const std::vector<std::uint32_t> ids(
+      slot.begin(), std::unique(slot.begin(), slot.end()));
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    slot[i] = static_cast<std::uint32_t>(
+        std::lower_bound(ids.begin(), ids.end(), trace.arrivals[i].tenant) -
+        ids.begin());
   }
+  report.tenants.resize(ids.size());
+  for (std::size_t k = 0; k < ids.size(); ++k) report.tenants[k].tenant = ids[k];
+  for (const std::uint32_t k : slot) ++report.tenants[k].offered;
 
   std::vector<std::deque<Submitted>> submitted(pipes.size());
   SampleHistogram sojourns;
@@ -83,7 +95,7 @@ LoadReport replay(const ArrivalTrace& trace,
       prev_offered[tenant] = offered_so_far[tenant];
       prev_completed[tenant] = report.tenants[tenant].completed;
       prev_shed[tenant] = report.tenants[tenant].shed;
-      report.series.push_back({t, static_cast<std::uint32_t>(tenant),
+      report.series.push_back({t, ids[tenant],
                                static_cast<double>(off) / window,
                                static_cast<double>(done) / window,
                                static_cast<double>(shed) / window});
@@ -93,7 +105,7 @@ LoadReport replay(const ArrivalTrace& trace,
         // idle window attains trivially).
         obs::TenantSample sample;
         sample.t_s = t;
-        sample.tenant = "tenant" + std::to_string(tenant);
+        sample.tenant = "tenant" + std::to_string(ids[tenant]);
         sample.offered_rps = static_cast<double>(off) / window;
         sample.completed_rps = static_cast<double>(done) / window;
         sample.shed_rps = static_cast<double>(shed) / window;
@@ -153,10 +165,11 @@ LoadReport replay(const ArrivalTrace& trace,
       }
       maybe_sample();
     }
-    ++offered_so_far[arrival.tenant];
+    const std::size_t k = slot[i];
+    ++offered_so_far[k];
     maybe_sample();
 
-    TenantStats& tenant = report.tenants[arrival.tenant];
+    TenantStats& tenant = report.tenants[k];
     if (config.slo_seconds > 0.0 &&
         elapsed() - target > config.slo_seconds) {
       ++report.shed_slo;
@@ -177,7 +190,7 @@ LoadReport replay(const ArrivalTrace& trace,
     }
     ++report.admitted;
     ++tenant.admitted;
-    submitted[p].push_back({target, arrival.tenant});
+    submitted[p].push_back({target, k});
   }
 
   // Tail drain: the schedule is over, but the open-loop contract still
@@ -244,8 +257,8 @@ std::vector<LoadReport> replay_time_shared(
   reports.reserve(nets.size());
   for (std::size_t t = 0; t < nets.size(); ++t) {
     // Tenant t's slice, rebased so its first arrival is wall zero (the
-    // fleet serves tenants back to back, not on the global clock) and
-    // relabelled tenant 0: the slice report's tenants[0] is tenant t.
+    // fleet serves tenants back to back, not on the global clock): the
+    // slice report's one tenant entry is tenant t.
     ArrivalTrace slice;
     double first = 0.0;
     bool have_first = false;
@@ -255,7 +268,7 @@ std::vector<LoadReport> replay_time_shared(
         first = arrival.time;
         have_first = true;
       }
-      slice.arrivals.push_back({arrival.time - first, 0});
+      slice.arrivals.push_back({arrival.time - first, arrival.tenant});
     }
     slice.duration = have_first ? trace.duration - first : 0.0;
 

@@ -120,8 +120,9 @@ struct OpenLoopConfig {
   obs::Snapshotter* snapshotter = nullptr;
 };
 
-/// Per-tenant slice of a replay (tenants index this vector).
+/// Per-tenant slice of a replay.
 struct TenantStats {
+  std::uint32_t tenant = 0;   ///< the trace's tenant id
   std::size_t offered = 0;    ///< arrivals in the trace for this tenant
   std::size_t admitted = 0;   ///< submitted and accepted
   std::size_t completed = 0;  ///< delivered back through poll()
@@ -149,7 +150,9 @@ struct LoadReport {
   double p95 = 0.0;
   double p99 = 0.0;
   double p999 = 0.0;                ///< the overload tail
-  std::vector<TenantStats> tenants;  ///< indexed by tenant id
+  /// One entry per distinct tenant id in the trace, ascending by id (a
+  /// trace of tenants 0..k-1 has tenants[t].tenant == t).
+  std::vector<TenantStats> tenants;
   /// Per-tenant rate samples at config.sample_seconds cadence (empty when
   /// sampling is off); tenant-major within each sampling instant.
   std::vector<obs::TimeSeriesSample> series;

@@ -16,16 +16,29 @@ DenseLayer::DenseLayer(std::size_t out_size, std::size_t in_size)
   WNF_EXPECTS(in_size > 0);
 }
 
-void DenseLayer::affine(std::span<const double> y_prev,
-                        std::span<double> s) const {
-  WNF_EXPECTS(y_prev.size() == in_size());
-  WNF_EXPECTS(s.size() == out_size());
-  if (topology_) {
+void DenseLayer::affine(std::span<const double> y_prev, std::span<double> s,
+                        std::size_t probes) const {
+  WNF_EXPECTS(probes >= 1);
+  WNF_EXPECTS(y_prev.size() == in_size() * probes);
+  WNF_EXPECTS(s.size() == out_size() * probes);
+  if (topology_ && probes == 1) {
     gemv_csr(weights_, topology_->row_ptr(), topology_->cols(), y_prev, s);
-  } else {
+  } else if (topology_) {
+    gemv_csr_block(weights_, topology_->row_ptr(), topology_->cols(), y_prev,
+                   probes, s);
+  } else if (probes == 1) {
     gemv(weights_, y_prev, s);
+  } else {
+    gemv_block(weights_, y_prev, probes, s);
   }
-  for (std::size_t j = 0; j < s.size(); ++j) s[j] += bias_[j];
+  if (probes == 1) {
+    for (std::size_t j = 0; j < s.size(); ++j) s[j] += bias_[j];
+    return;
+  }
+  auto row = s.begin();  // row j holds its probes' values
+  for (const double b : bias_) {
+    for (std::size_t p = 0; p < probes; ++p) *row++ += b;
+  }
 }
 
 double DenseLayer::weight_max(WeightMaxConvention convention) const {

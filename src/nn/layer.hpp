@@ -46,9 +46,14 @@ class DenseLayer {
   std::span<double> bias() { return {bias_.data(), bias_.size()}; }
   std::span<const double> bias() const { return {bias_.data(), bias_.size()}; }
 
-  /// s = W y_prev + bias. Sizes must match; `s` may not alias `y_prev`.
-  /// Sparse layers take the CSR path; dense layers keep the gemv kernel.
-  void affine(std::span<const double> y_prev, std::span<double> s) const;
+  /// s = W y_prev + bias for a block of `probes` probes stored probe-minor
+  /// (tensor/ops.hpp): y_prev holds in_size() * probes values, s
+  /// out_size() * probes. `s` may not alias `y_prev`. Sparse layers take
+  /// the CSR path, dense layers the dense one; one probe runs gemv or
+  /// gemv_csr, more run their block kernels, and every probe's rows are
+  /// bit-identical either way.
+  void affine(std::span<const double> y_prev, std::span<double> s,
+              std::size_t probes = 1) const;
 
   /// max |w^(l)_{ji}| under the given convention (paper's w^(l)_m).
   double weight_max(WeightMaxConvention convention) const;

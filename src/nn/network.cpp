@@ -97,34 +97,42 @@ double FeedForwardNetwork::evaluate(std::span<const double> x) const {
 double FeedForwardNetwork::evaluate_hooked(std::span<const double> x,
                                            const ForwardHooks& hooks,
                                            Workspace& ws) const {
-  WNF_EXPECTS(x.size() == input_dim_);
+  double out = 0.0;
+  evaluate_hooked(x, hooks, ws, {&out, 1});
+  return out;
+}
+
+void FeedForwardNetwork::evaluate_hooked(std::span<const double> x,
+                                         const ForwardHooks& hooks,
+                                         Workspace& ws,
+                                         std::span<double> out) const {
+  const std::size_t probes = out.size();
+  WNF_EXPECTS(probes >= 1);
+  WNF_EXPECTS(x.size() == input_dim_ * probes);
   auto& current = ws.buffer_a();
   auto& next = ws.buffer_b();
   current.assign(x.begin(), x.end());
   for (std::size_t i = 0; i < hidden_.size(); ++i) {
     const auto& layer = hidden_[i];
     const std::size_t l = i + 1;  // paper layer index
-    next.resize(layer.out_size());
-    layer.affine(current, next);
+    next.resize(layer.out_size() * probes);
+    layer.affine(current, next, probes);
     if (hooks.pre_activation) {
-      hooks.pre_activation(l, {current.data(), current.size()},
-                           {next.data(), next.size()});
+      hooks.pre_activation(l, {current, probes}, {next, probes});
     }
     activation_.apply(next, next);
-    if (hooks.post_activation) {
-      hooks.post_activation(l, {next.data(), next.size()});
-    }
+    if (hooks.post_activation) hooks.post_activation(l, {next, probes});
     std::swap(current, next);
   }
-  double out = dot({current.data(), current.size()},
-                   {output_weights_.data(), output_weights_.size()}) +
-               output_bias_;
-  if (hooks.pre_activation) {
-    std::span<double> out_span{&out, 1};
-    hooks.pre_activation(hidden_.size() + 1, {current.data(), current.size()},
-                         out_span);
+  if (probes == 1) {
+    out[0] = dot(current, output_weights_);
+  } else {
+    dot_block(output_weights_, current, probes, out);
   }
-  return out;
+  for (double& value : out) value += output_bias_;
+  if (hooks.pre_activation) {
+    hooks.pre_activation(hidden_.size() + 1, {current, probes}, {out, probes});
+  }
 }
 
 ForwardTrace FeedForwardNetwork::forward_trace(
@@ -132,18 +140,31 @@ ForwardTrace FeedForwardNetwork::forward_trace(
   ForwardTrace trace;
   trace.activations.emplace_back(x.begin(), x.end());
   ForwardHooks hooks;
-  hooks.pre_activation = [this, &trace](std::size_t l, std::span<const double>,
-                                        std::span<double> s) {
+  hooks.pre_activation = [this, &trace](std::size_t l,
+                                        BlockView<const double>,
+                                        BlockView<double> s) {
     if (l <= layer_count()) {  // l = L+1 is the output node
-      trace.preactivations.emplace_back(s.begin(), s.end());
+      trace.preactivations.emplace_back(s.values().begin(), s.values().end());
     }
   };
-  hooks.post_activation = [&trace](std::size_t, std::span<double> y) {
-    trace.activations.emplace_back(y.begin(), y.end());
+  hooks.post_activation = [&trace](std::size_t, BlockView<double> y) {
+    trace.activations.emplace_back(y.values().begin(), y.values().end());
   };
   Workspace ws;
   trace.output = evaluate_hooked(x, hooks, ws);
   return trace;
+}
+
+std::span<const double> Workspace::pack(
+    std::span<const std::vector<double>> probes) {
+  const std::size_t count = probes.size();
+  const std::size_t dim = probes.empty() ? 0 : probes.front().size();
+  inputs_.resize(dim * count);
+  for (std::size_t p = 0; p < count; ++p) {
+    WNF_EXPECTS(probes[p].size() == dim);
+    for (std::size_t i = 0; i < dim; ++i) inputs_[i * count + p] = probes[p][i];
+  }
+  return inputs_;
 }
 
 bool FeedForwardNetwork::approx_equal(const FeedForwardNetwork& other,

@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "nn/activation.hpp"
@@ -18,25 +19,56 @@
 
 namespace wnf::nn {
 
+/// One layer's values for a block of probes, stored probe-minor: row j
+/// (neuron j, or the output node's single row) holds its `probes()` values
+/// contiguously, at [j * probes(), (j + 1) * probes()). A one-probe block
+/// is the layer's plain vector: values()[j] is neuron j.
+template <typename T>
+class BlockView {
+ public:
+  BlockView(std::span<T> values, std::size_t probes)
+      : values_(values), probes_(probes) {}
+
+  /// A read-only view of a mutable block.
+  template <typename U>
+    requires std::is_same_v<const U, T> && (!std::is_same_v<U, T>)
+  BlockView(BlockView<U> other)
+      : values_(other.values()), probes_(other.probes()) {}
+
+  std::size_t probes() const { return probes_; }
+  /// Row j's value for every probe of the block.
+  std::span<T> row(std::size_t j) const {
+    return values_.subspan(j * probes_, probes_);
+  }
+  /// Every value, row after row.
+  std::span<T> values() const { return values_; }
+
+ private:
+  std::span<T> values_;
+  std::size_t probes_;
+};
+
 /// Mutation hooks threaded through a forward pass. This is the seam the
 /// fault injector, the message simulator (both through the shared fault
 /// functions fault::apply_synapse_faults and fault::apply_neuron_faults),
 /// training's dropout and the fixed-point quantiser plug into, so the
-/// forward code has exactly one implementation: evaluate_hooked.
+/// forward code has exactly one implementation: evaluate_hooked. Hooks see
+/// the pass's whole probe block; every one-probe pass hands them one-probe
+/// blocks.
 struct ForwardHooks {
   /// Called after s^(l) = W^(l) y^(l-1) + b is computed, before phi.
   /// l runs over 1..L for hidden layers and L+1 for the output node (where
-  /// `s` has size 1). Mutating `s` models synapse-level faults (and the
+  /// `s` has one row). Mutating `s` models synapse-level faults (and the
   /// simulator's per-edge channels).
-  std::function<void(std::size_t l, std::span<const double> y_prev,
-                     std::span<double> s)>
+  std::function<void(std::size_t l, BlockView<const double> y_prev,
+                     BlockView<double> s)>
       pre_activation;
 
   /// Called after y^(l) = phi(s^(l)), l in 1..L; layer l+1 reads the
-  /// result. Mutating `y` models neuron-level faults (crash: y[j] = 0;
-  /// Byzantine: y[j] += lambda), reduced-precision implementations
+  /// result. Mutating `y` models neuron-level faults (crash: row j = 0;
+  /// Byzantine: row j += lambda), reduced-precision implementations
   /// (quantise y), dropout, and the simulator's clamp and cuts.
-  std::function<void(std::size_t l, std::span<double> y)> post_activation;
+  std::function<void(std::size_t l, BlockView<double> y)> post_activation;
 };
 
 /// Full record of one forward pass (needed by backprop and by the
@@ -53,9 +85,22 @@ class Workspace {
   std::vector<double>& buffer_a() { return a_; }
   std::vector<double>& buffer_b() { return b_; }
 
+  /// Packs `probes` (all of one width) into this workspace's input block,
+  /// probe-minor: coordinate i of probe p lands at [i * P + p], the layout
+  /// evaluate_hooked's block form reads. The view lives until the next
+  /// pack.
+  std::span<const double> pack(std::span<const std::vector<double>> probes);
+
+  /// Per-layer blocks a hooked pass may record for a later pass to read
+  /// (the Injector's nominal activations); evaluate_hooked never touches
+  /// them.
+  std::vector<std::vector<double>>& layers() { return layers_; }
+
  private:
   std::vector<double> a_;
   std::vector<double> b_;
+  std::vector<double> inputs_;
+  std::vector<std::vector<double>> layers_;
 };
 
 /// Feed-forward network with L hidden layers and a linear output node.
@@ -113,9 +158,20 @@ class FeedForwardNetwork {
   /// Convenience overload (allocates).
   double evaluate(std::span<const double> x) const;
 
-  /// Fneu(X) with fault/precision hooks applied (see ForwardHooks).
+  /// Fneu(X) with fault/precision hooks applied (see ForwardHooks): the
+  /// block form below over one probe.
   double evaluate_hooked(std::span<const double> x, const ForwardHooks& hooks,
                          Workspace& ws) const;
+
+  /// Fneu for a block of P = out.size() probes in one forward pass, with
+  /// hooks. `x` holds the probes probe-minor (x[i * P + p] is coordinate i
+  /// of probe p; Workspace::pack builds it), every layer's values travel
+  /// the same way, and out[p] receives probe p's output. Each out[p] is
+  /// bit-identical to a one-probe pass over probe p under the same hooks'
+  /// row operations. One probe runs gemv/gemv_csr and dot; more run their
+  /// block kernels. This is the network's one layer loop.
+  void evaluate_hooked(std::span<const double> x, const ForwardHooks& hooks,
+                       Workspace& ws, std::span<double> out) const;
 
   /// Full trace for backprop / analysis, recorded through the hooks.
   ForwardTrace forward_trace(std::span<const double> x) const;

@@ -60,13 +60,15 @@ double forward_train(const FeedForwardNetwork& net,
   scratch.acts[0].assign(x.begin(), x.end());
   const double keep = 1.0 - dropout;
   ForwardHooks hooks;
-  hooks.pre_activation = [&scratch](std::size_t l, std::span<const double>,
-                                    std::span<double> s) {
+  hooks.pre_activation = [&scratch](std::size_t l, BlockView<const double>,
+                                    BlockView<double> block) {
     if (l <= scratch.preacts.size()) {  // l = L+1 is the output node
+      const std::span<double> s = block.values();
       scratch.preacts[l - 1].assign(s.begin(), s.end());
     }
   };
-  hooks.post_activation = [&](std::size_t l, std::span<double> y) {
+  hooks.post_activation = [&](std::size_t l, BlockView<double> block) {
+    const std::span<double> y = block.values();
     auto& mask = scratch.masks[l - 1];
     mask.assign(y.size(), 1.0);
     if (dropout > 0.0) {

@@ -100,7 +100,6 @@ class Watchdog {
   void tick();
 
   ChannelHealth health(std::size_t channel) const;
-  std::size_t channel_count() const { return channels_.size(); }
   /// The registry holding obs.watchdog.* counters (snapshot it, or add
   /// it to a Snapshotter as a source).
   const MetricsRegistry& metrics() const { return registry_; }

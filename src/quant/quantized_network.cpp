@@ -24,9 +24,9 @@ double evaluate_quantized(const nn::FeedForwardNetwork& net,
   }
   Rng stochastic_rng(scheme.stochastic_seed);
   nn::ForwardHooks hooks;
-  hooks.post_activation = [&](std::size_t l, std::span<double> y) {
+  hooks.post_activation = [&](std::size_t l, nn::BlockView<double> y) {
     const auto& q = quantizers[l - 1];
-    for (double& value : y) value = q.quantize(value, stochastic_rng);
+    for (double& value : y.values()) value = q.quantize(value, stochastic_rng);
   };
   return net.evaluate_hooked(x, hooks, ws);
 }

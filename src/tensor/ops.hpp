@@ -10,6 +10,16 @@
 // four at a time with independent accumulators for speed, which never
 // changes any row's summation order, so outputs are bit-identical to the
 // one-row-at-a-time loop and CSR stays bit-identical to dense.
+//
+// The block kernels (gemv_block, gemv_csr_block, dot_block) keep the same
+// invariant across a block of P probes stored probe-minor: x[c * P + p] is
+// coordinate c of probe p, y[r * P + p] is row r of probe p. Each SIMD lane
+// holds one (row, probe) sum, started at 0.0 and added left to right with a
+// separate multiply and add; no operation mixes lanes. So probe p of a
+// block is bit-identical to gemv (or gemv_csr, or dot) over probe p alone,
+// for any P >= 1. The lanes are two-wide GCC/Clang vector types, which
+// build from one source on every target with no runtime dispatch; loads
+// are unaligned, since an odd P leaves rows off 16-byte boundaries.
 #pragma once
 
 #include <span>
@@ -31,6 +41,25 @@ void gemv(const Matrix& a, std::span<const double> x, std::span<double> y);
 void gemv_csr(const Matrix& a, std::span<const std::size_t> row_ptr,
               std::span<const std::size_t> cols, std::span<const double> x,
               std::span<double> y);
+
+/// Block gemv: y = A * x for `probes` probes stored probe-minor (see the
+/// header comment). Requires probes >= 1, x.size() == A.cols() * probes
+/// and y.size() == A.rows() * probes; `y` may not alias `x`.
+void gemv_block(const Matrix& a, std::span<const double> x,
+                std::size_t probes, std::span<double> y);
+
+/// Block gemv_csr: each row accumulates its CSR edges left to right, with
+/// the edge's weight broadcast across the probes (so no lane is masked).
+/// Same sizes as gemv_block, same CSR requirements as gemv_csr.
+void gemv_csr_block(const Matrix& a, std::span<const std::size_t> row_ptr,
+                    std::span<const std::size_t> cols,
+                    std::span<const double> x, std::size_t probes,
+                    std::span<double> y);
+
+/// Block dot: y[p] = dot(w, probe p of x), summed as `dot` sums. Requires
+/// x.size() == w.size() * probes and y.size() == probes.
+void dot_block(std::span<const double> w, std::span<const double> x,
+               std::size_t probes, std::span<double> y);
 
 /// y = A^T * x (used by backprop without materialising the transpose).
 /// Requires x.size() == A.rows() and y.size() == A.cols().

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 
 #include "util/contract.hpp"
 
@@ -78,22 +80,60 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   WNF_EXPECTS(begin <= end);
   const std::size_t n = end - begin;
   if (n == 0) return;
-  const std::size_t workers = pool.size();
-  if (workers <= 1 || n < 2 || tls_owner == &pool) {
+  const std::size_t helpers = std::min(pool.size(), n) - 1;
+  if (helpers == 0 || tls_owner == &pool) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
-  const std::size_t chunks = std::min(n, workers * 4);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    if (lo >= end) break;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    pool.submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
+
+  // The caller and its helper tasks claim indices one at a time from one
+  // counter. The helpers share this state by ownership: one the pool starts
+  // after the call has closed finds `closed` and touches nothing else.
+  struct Claims {
+    std::atomic<std::size_t> next;
+    std::size_t end = 0;
+    const std::function<void(std::size_t)>* body = nullptr;
+    std::mutex mutex;
+    std::condition_variable idle;
+    std::size_t claiming = 0;  ///< helpers inside run(); guarded by mutex
+    bool closed = false;       ///< no helper may start; guarded by mutex
+
+    void run() {
+      for (std::size_t i = next.fetch_add(1); i < end; i = next.fetch_add(1)) {
+        (*body)(i);
+      }
+    }
+  };
+  const auto claims = std::make_shared<Claims>();
+  claims->next = begin;
+  claims->end = end;
+  claims->body = &body;
+  for (std::size_t h = 0; h < helpers; ++h) {
+    pool.submit([claims] {
+      {
+        std::lock_guard lock(claims->mutex);
+        if (claims->closed) return;
+        ++claims->claiming;
+      }
+      claims->run();
+      std::lock_guard lock(claims->mutex);
+      // Notified under the lock: the caller may destroy nothing it shares
+      // with this helper before the helper lets go of the mutex.
+      if (--claims->claiming == 0) claims->idle.notify_all();
     });
   }
-  pool.wait_idle();
+  // Closes the call on every way out of the caller's own claims, so no
+  // helper runs `body` after this frame is gone.
+  struct Close {
+    Claims& claims;
+    ~Close() {
+      claims.next = claims.end;  // after a throwing body: stop the helpers
+      std::unique_lock lock(claims.mutex);
+      claims.closed = true;
+      claims.idle.wait(lock, [this] { return claims.claiming == 0; });
+    }
+  } close{*claims};
+  claims->run();
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

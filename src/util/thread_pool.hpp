@@ -1,9 +1,10 @@
 // Fixed-size worker pool plus data-parallel helpers.
 //
 // The fault-injection campaigns and Monte-Carlo sweeps in this repository are
-// embarrassingly parallel over trials; `parallel_for` chunks an index range
-// over the pool. Results stay deterministic because randomness is derived
-// per-index (see Rng::split), never from thread identity.
+// embarrassingly parallel over trials; `parallel_for` shares an index range
+// between its caller and the pool. Results stay deterministic because
+// randomness is derived per-index (see Rng::split), never from thread
+// identity.
 #pragma once
 
 #include <condition_variable>
@@ -55,14 +56,16 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Runs `body(i)` for every i in [begin, end), distributed over `pool`.
-///
-/// The range is split into contiguous chunks (at most 4 per worker) so
-/// per-iteration overhead stays negligible even for micro-bodies. Falls back
-/// to a serial loop when the range is tiny or the pool has one worker, and
-/// when the caller is one of `pool`'s own workers: waiting for the pool to
-/// go idle from inside it would wait on the caller itself, so a nested
-/// parallel_for runs inline instead of deadlocking.
+/// Runs `body(i)` for every i in [begin, end) on the calling thread and
+/// min(pool.size(), end - begin) - 1 helper tasks on `pool`. Each index is
+/// claimed exactly once, one at a time, from a shared counter, so the
+/// caller works alongside the pool instead of blocking while it wakes, and
+/// uneven bodies balance. The call returns once every index has run: it
+/// waits for the helpers that claimed work, never for the pool to go idle,
+/// and a helper the pool starts later runs nothing. Which thread runs an
+/// index is unspecified, so bodies must not depend on it. Runs serially
+/// when the range has one index or the pool one worker, and when the caller
+/// is one of `pool`'s own workers: a nested parallel_for runs inline.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
 

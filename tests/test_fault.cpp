@@ -107,8 +107,8 @@ TEST(Injector, DeepByzantinePerturbationIsRelativeToNominal) {
   // reference computation.
   const auto trace = net.forward_trace(x);
   nn::ForwardHooks hooks;
-  hooks.post_activation = [&](std::size_t l, std::span<double> y) {
-    if (l == 1) y[2] = trace.activations[1][2] + 0.3;
+  hooks.post_activation = [&](std::size_t l, nn::BlockView<double> y) {
+    if (l == 1) y.values()[2] = trace.activations[1][2] + 0.3;
   };
   nn::Workspace ws;
   EXPECT_NEAR(injector.damaged(plan, x), net.evaluate_hooked(x, hooks, ws),
@@ -198,6 +198,84 @@ TEST(Injector, DamagedOutputBitsPinned) {
     for (double& v : x) v = probes.uniform();
     const double out = injector.damaged(plan, x);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(out), golden[n]) << "probe " << n;
+  }
+}
+
+TEST(Injector, BlockMatchesPerProbeBitForBit) {
+  // The damaged pass over a block of probes, against damaged() probe by
+  // probe, on the pinned net above (small-world layer 2) and a dense twin
+  // shape: every neuron fault kind, both synapse fault kinds (a hidden edge
+  // and the output set), alone and together, under both conventions.
+  Rng rng(71);
+  const auto small_world = nn::NetworkBuilder(8)
+                               .activation(nn::ActivationKind::kSigmoid, 1.0)
+                               .hidden(12)
+                               .hidden(10, nn::Topology::small_world(4, 0.3))
+                               .hidden(6)
+                               .init(nn::InitKind::kUniform, 0.6)
+                               .build(rng);
+  const auto dense = nn::NetworkBuilder(8)
+                         .activation(nn::ActivationKind::kSigmoid, 1.0)
+                         .hidden_layers({12, 10, 6})
+                         .init(nn::InitKind::kUniform, 0.6)
+                         .build(rng);
+  for (const nn::FeedForwardNetwork* net : {&small_world, &dense}) {
+    const auto* topo = net->layer(2).topology();
+    const SynapseFault hidden_edge =
+        topo != nullptr ? SynapseFault{2, topo->edge_row(5), topo->cols()[5],
+                                       SynapseFaultKind::kCrash, 0.0}
+                        : SynapseFault{2, 4, 9, SynapseFaultKind::kCrash, 0.0};
+    SynapseFault byzantine_edge = hidden_edge;
+    byzantine_edge.kind = SynapseFaultKind::kByzantine;
+    byzantine_edge.value = -0.7;
+    std::vector<FaultPlan> plans(8);
+    plans[0].neurons = {{1, 2, NeuronFaultKind::kCrash, 0.0}};
+    plans[1].neurons = {{2, 3, NeuronFaultKind::kByzantine, -0.6},
+                        {3, 1, NeuronFaultKind::kByzantine, 0.5}};
+    plans[2].neurons = {{2, 5, NeuronFaultKind::kStuckAt, 0.7}};
+    plans[3].synapses = {hidden_edge};
+    plans[4].synapses = {byzantine_edge,
+                         {1, 4, 6, SynapseFaultKind::kByzantine, 0.8}};
+    plans[5].synapses = {{4, 0, 2, SynapseFaultKind::kCrash, 0.0},
+                         {4, 0, 3, SynapseFaultKind::kByzantine, 0.5}};
+    plans[6].neurons = {{1, 7, NeuronFaultKind::kByzantine, 0.4},
+                        {1, 2, NeuronFaultKind::kCrash, 0.0},
+                        {2, 3, NeuronFaultKind::kByzantine, -0.6},
+                        {2, 5, NeuronFaultKind::kStuckAt, 0.7},
+                        {3, 1, NeuronFaultKind::kByzantine, 0.5}};
+    plans[6].synapses = {{1, 4, 6, SynapseFaultKind::kByzantine, 0.8},
+                         hidden_edge,
+                         {4, 0, 2, SynapseFaultKind::kCrash, 0.0}};
+    // plans[7] is empty: the fault-free block.
+    Rng probe_rng(79);
+    std::vector<std::vector<double>> probes(17, std::vector<double>(8));
+    for (auto& x : probes) {
+      for (double& v : x) v = probe_rng.uniform();
+    }
+    Injector block(*net);
+    Injector single(*net);
+    for (const auto convention :
+         {theory::CapacityConvention::kPerturbationBound,
+          theory::CapacityConvention::kTransmittedValueBound}) {
+      for (std::size_t k = 0; k < plans.size(); ++k) {
+        FaultPlan plan = plans[k];
+        plan.convention = convention;
+        validate_plan(plan, *net);
+        for (const std::size_t count : {1, 3, 16, 17}) {
+          const std::span<const std::vector<double>> head(probes.data(),
+                                                          count);
+          std::vector<double> out(count, 42.0);
+          block.damaged(plan, head, out);
+          for (std::size_t p = 0; p < count; ++p) {
+            const double want = single.damaged(plan, probes[p]);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(out[p]),
+                      std::bit_cast<std::uint64_t>(want))
+                << (topo != nullptr ? "small-world" : "dense") << " net, plan "
+                << k << ", P = " << count << ", probe " << p;
+          }
+        }
+      }
+    }
   }
 }
 

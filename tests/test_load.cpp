@@ -6,6 +6,8 @@
 // transport fleet).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cmath>
 #include <optional>
 #include <sstream>
@@ -457,6 +459,8 @@ TEST(Replay, OneDriverSaturatesTwoPoolsWithTenantRouting) {
 
   EXPECT_EQ(report.admitted, 24u);
   ASSERT_EQ(report.tenants.size(), 2u);
+  EXPECT_EQ(report.tenants[0].tenant, 0u);
+  EXPECT_EQ(report.tenants[1].tenant, 1u);
   EXPECT_EQ(report.tenants[0].offered, 12u);
   EXPECT_EQ(report.tenants[1].offered, 12u);
   EXPECT_EQ(report.tenants[0].completed, 12u);
@@ -479,6 +483,67 @@ TEST(Replay, OneDriverSaturatesTwoPoolsWithTenantRouting) {
       EXPECT_DOUBLE_EQ(collected[t][i].completion_time,
                        expected[i].completion_time);
     }
+  }
+}
+
+// Peak resident set of this process so far, in KiB (Linux ru_maxrss).
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;  // shadow memory swamps the RSS check
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+TEST(Replay, PerTenantStateGrowsWithDistinctTenantsNotTheLargestId) {
+  // The report has one entry per distinct tenant id, ascending, each with
+  // its id, and the sampled series carries the real ids. One arrival of
+  // the largest id load_trace accepts must cost no more than any other
+  // (per-tenant arrays sized by the largest id would ask for ~430 GB).
+  const auto inputs = load_workload(1);
+  StubPipeline stub;
+  Pipeline* const pipes[] = {&stub};
+  OpenLoopConfig config;
+  config.sample_seconds = 1.0;  // only the closing partial window
+
+  const long rss_before = peak_rss_kib();
+  ArrivalTrace largest;
+  largest.arrivals.push_back({0.0, 4294967295u});
+  largest.duration = 1e-6;
+  const auto one = replay(largest, inputs, pipes, config);
+  const long rss_growth_kib = peak_rss_kib() - rss_before;
+  ASSERT_EQ(one.tenants.size(), 1u);
+  EXPECT_EQ(one.tenants[0].tenant, 4294967295u);
+  EXPECT_EQ(one.tenants[0].offered, 1u);
+  EXPECT_EQ(one.tenants[0].completed, 1u);
+  ASSERT_FALSE(one.series.empty());
+  for (const auto& sample : one.series) EXPECT_EQ(sample.tenant, 4294967295u);
+  if (!kSanitized) EXPECT_LT(rss_growth_kib, 64 * 1024);
+
+  ArrivalTrace two;
+  two.arrivals = {{0.0, 7}, {1e-6, 3}, {2e-6, 7}};
+  two.duration = 3e-6;
+  const auto report = replay(two, inputs, pipes, config);
+  ASSERT_EQ(report.tenants.size(), 2u);
+  EXPECT_EQ(report.tenants[0].tenant, 3u);
+  EXPECT_EQ(report.tenants[0].offered, 1u);
+  EXPECT_EQ(report.tenants[0].completed, 1u);
+  EXPECT_EQ(report.tenants[1].tenant, 7u);
+  EXPECT_EQ(report.tenants[1].offered, 2u);
+  EXPECT_EQ(report.tenants[1].completed, 2u);
+  ASSERT_FALSE(report.series.empty());
+  for (const auto& sample : report.series) {
+    EXPECT_TRUE(sample.tenant == 3u || sample.tenant == 7u) << sample.tenant;
   }
 }
 
@@ -518,6 +583,10 @@ TEST(Replay, TimeSharedFleetMatchesDedicatedHostsBitForBit) {
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_EQ(reports[0].completed, trace_a.size());
   EXPECT_EQ(reports[1].completed, trace_b.size());
+  for (std::uint32_t t = 0; t < 2; ++t) {
+    ASSERT_EQ(reports[t].tenants.size(), 1u);
+    EXPECT_EQ(reports[t].tenants[0].tenant, t);  // each slice keeps its id
+  }
   EXPECT_EQ(fleet.rebinds(), 2u);
   // Fork-once: the fleet never respawned across both tenants.
   EXPECT_EQ(fleet.total_spawns(), config.workers);

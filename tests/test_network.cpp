@@ -106,8 +106,8 @@ TEST(Network, PostActivationHookOverridesNeuron) {
   const auto net = tiny_network();
   const std::vector<double> x{0.3, 0.7};
   ForwardHooks hooks;
-  hooks.post_activation = [](std::size_t l, std::span<double> y) {
-    if (l == 1) y[0] = 0.0;  // crash neuron 0
+  hooks.post_activation = [](std::size_t l, BlockView<double> y) {
+    if (l == 1) y.values()[0] = 0.0;  // crash neuron 0
   };
   Workspace ws;
   const double damaged = net.evaluate_hooked(x, hooks, ws);
@@ -121,12 +121,12 @@ TEST(Network, PreActivationHookSeesOutputNode) {
   const std::vector<double> x{0.3, 0.7};
   std::vector<std::size_t> layers_seen;
   ForwardHooks hooks;
-  hooks.pre_activation = [&](std::size_t l, std::span<const double>,
-                             std::span<double> s) {
+  hooks.pre_activation = [&](std::size_t l, BlockView<const double>,
+                             BlockView<double> s) {
     layers_seen.push_back(l);
     if (l == 2) {
-      ASSERT_EQ(s.size(), 1u);  // the single output node
-      s[0] += 10.0;
+      ASSERT_EQ(s.values().size(), 1u);  // the single output node
+      s.values()[0] += 10.0;
     }
   };
   Workspace ws;
@@ -261,8 +261,8 @@ TEST(Gradients, MatchFiniteDifferenceSensitivities) {
   for (std::size_t l = 1; l <= 2; ++l) {
     for (std::size_t j = 0; j < net.layer_width(l); ++j) {
       ForwardHooks hooks;
-      hooks.post_activation = [&](std::size_t hl, std::span<double> y) {
-        if (hl == l) y[j] += h;
+      hooks.post_activation = [&](std::size_t hl, BlockView<double> y) {
+        if (hl == l) y.values()[j] += h;
       };
       const double perturbed = net.evaluate_hooked(x, hooks, ws);
       const double numeric = (perturbed - trace.output) / h;

@@ -1,14 +1,17 @@
 // Unit tests for src/tensor: matrix storage and the gemv kernels,
 // including bit-for-bit pins of the row-blocked gemv / gemv_csr against a
-// one-row-at-a-time reference and of whole forward passes built on them.
+// one-row-at-a-time reference, of the probe-block kernels against gemv /
+// gemv_csr / dot probe by probe, and of whole forward passes built on them.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "nn/builder.hpp"
 #include "tensor/matrix.hpp"
@@ -265,6 +268,174 @@ TEST(Ops, SparseForwardOutputBitsPinned) {
       0xbfe5ff60209cb440, 0xbfe5835666129c73, 0xbfe5736f56e1271e,
       0xbfe4f807e8ec6268, 0xbfe59406fb0a9753};
   expect_pinned_outputs(net, kPinned);
+}
+
+// Probe counts for the block kernels: one probe, a pair, an odd count
+// below a full tile, and a campaign trial's 16 with and without a tail.
+constexpr std::size_t kBlockProbeCounts[] = {1, 2, 3, 16, 17};
+
+// A block-kernel input: mostly normal draws, with signed zeros, subnormals
+// and infinities mixed in but no NaN input. Every NaN a kernel then makes
+// (inf * 0, inf - inf) is the one default NaN, so whole outputs compare
+// with memcmp.
+double draw_block_value(Rng& rng) {
+  if (rng.bernoulli(0.15)) {
+    constexpr double kSpecials[] = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -3.0 * std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 7.0,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+    };
+    return kSpecials[rng.uniform_index(std::size(kSpecials))];
+  }
+  return rng.normal();
+}
+
+std::vector<std::vector<double>> draw_probes(std::size_t count,
+                                             std::size_t dim, Rng& rng) {
+  std::vector<std::vector<double>> probes(count, std::vector<double>(dim));
+  for (auto& probe : probes) {
+    for (double& v : probe) v = draw_block_value(rng);
+  }
+  return probes;
+}
+
+// Probe p's rows of a probe-minor block with `rows` rows.
+std::vector<double> probe_of(const std::vector<double>& block,
+                             std::size_t rows, std::size_t probes,
+                             std::size_t p) {
+  std::vector<double> column(rows);
+  for (std::size_t r = 0; r < rows; ++r) column[r] = block[r * probes + p];
+  return column;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Ops, GemvBlockBitIdenticalToGemvForEveryProbe) {
+  // The campaign's square and input shapes, a one-row block, and small
+  // shapes that leave a row remainder after the three-row tiles.
+  const std::pair<std::size_t, std::size_t> kShapes[] = {
+      {64, 64}, {64, 8}, {1, 64}, {2, 5}, {7, 3}, {13, 70}};
+  Rng rng(23);
+  for (const auto& [rows, cols] : kShapes) {
+    Matrix a(rows, cols);
+    for (double& v : a.flat()) v = draw_block_value(rng);
+    for (const std::size_t probes : kBlockProbeCounts) {
+      const auto xs = draw_probes(probes, cols, rng);
+      nn::Workspace ws;
+      const auto block = ws.pack(xs);
+      std::vector<double> y(rows * probes, 42.0);
+      gemv_block(a, block, probes, y);
+      for (std::size_t p = 0; p < probes; ++p) {
+        std::vector<double> want(rows);
+        gemv(a, xs[p], want);
+        ASSERT_TRUE(same_bytes(probe_of(y, rows, probes, p), want))
+            << rows << "x" << cols << ", P = " << probes << ", probe " << p;
+      }
+    }
+  }
+}
+
+TEST(Ops, GemvCsrBlockBitIdenticalToGemvCsrForEveryProbe) {
+  struct Csr {
+    Matrix a;
+    std::vector<std::size_t> row_ptr;
+    std::vector<std::size_t> cols;
+  };
+  std::vector<Csr> layers;
+  // The builder's random-sparse (0.2) and small-world layers, 64 wide.
+  for (const auto& topology : {nn::Topology::random_sparse(0.2),
+                               nn::Topology::small_world(4, 0.3)}) {
+    Rng build_rng(24);
+    const auto net = nn::NetworkBuilder(8)
+                         .topology(topology)
+                         .hidden_layers({64, 64})
+                         .build(build_rng);
+    for (std::size_t l = 1; l <= net.layer_count(); ++l) {
+      const nn::LayerTopology* topo = net.layer(l).topology();
+      ASSERT_NE(topo, nullptr);
+      layers.push_back({net.layer(l).weights(),
+                        {topo->row_ptr().begin(), topo->row_ptr().end()},
+                        {topo->cols().begin(), topo->cols().end()}});
+    }
+  }
+  // Rows of 0, 1 and 2 edges (a LayerTopology has no empty rows).
+  layers.push_back({Matrix(5, 6), {0, 0, 1, 3, 3, 5}, {4, 0, 5, 1, 2}});
+  Rng rng(25);
+  for (Csr& layer : layers) {
+    // Edge weights drawn like the inputs; every non-edge stays 0.0.
+    for (std::size_t r = 0; r < layer.a.rows(); ++r) {
+      for (std::size_t e = layer.row_ptr[r]; e < layer.row_ptr[r + 1]; ++e) {
+        layer.a(r, layer.cols[e]) = draw_block_value(rng);
+      }
+    }
+    const std::size_t rows = layer.a.rows();
+    for (const std::size_t probes : kBlockProbeCounts) {
+      const auto xs = draw_probes(probes, layer.a.cols(), rng);
+      nn::Workspace ws;
+      const auto block = ws.pack(xs);
+      std::vector<double> y(rows * probes, 42.0);
+      gemv_csr_block(layer.a, layer.row_ptr, layer.cols, block, probes, y);
+      for (std::size_t p = 0; p < probes; ++p) {
+        std::vector<double> want(rows);
+        gemv_csr(layer.a, layer.row_ptr, layer.cols, xs[p], want);
+        ASSERT_TRUE(same_bytes(probe_of(y, rows, probes, p), want))
+            << rows << "x" << layer.a.cols() << " with " << layer.cols.size()
+            << " edges, P = " << probes << ", probe " << p;
+      }
+    }
+  }
+}
+
+TEST(Ops, DotBlockBitIdenticalToDotForEveryProbe) {
+  Rng rng(26);
+  for (const std::size_t width : {64, 8, 1}) {
+    std::vector<double> w(width);
+    for (double& v : w) v = draw_block_value(rng);
+    for (const std::size_t probes : kBlockProbeCounts) {
+      const auto xs = draw_probes(probes, width, rng);
+      nn::Workspace ws;
+      const auto block = ws.pack(xs);
+      std::vector<double> y(probes, 42.0);
+      dot_block(w, block, probes, y);
+      for (std::size_t p = 0; p < probes; ++p) {
+        const std::vector<double> want{dot(xs[p], w)};
+        ASSERT_TRUE(same_bytes({y[p]}, want))
+            << "width " << width << ", P = " << probes << ", probe " << p;
+      }
+    }
+  }
+}
+
+TEST(Ops, BlockForwardMatchesPerProbeForwardOnPinnedNets) {
+  // The pinned nets' probes as one block: each output must carry the bits
+  // of its one-probe pass, which the two pins above fix.
+  for (const bool sparse : {false, true}) {
+    const auto net = pinned_net(sparse);
+    Rng rng(14);
+    std::vector<std::vector<double>> xs(17, std::vector<double>(8));
+    for (auto& x : xs) {
+      for (double& v : x) v = rng.uniform(-1.0, 1.0);
+    }
+    nn::Workspace ws;
+    for (const std::size_t probes : kBlockProbeCounts) {
+      const std::span<const std::vector<double>> head(xs.data(), probes);
+      std::vector<double> got(probes, 42.0);
+      net.evaluate_hooked(ws.pack(head), {}, ws, got);
+      std::vector<double> want(probes);
+      for (std::size_t p = 0; p < probes; ++p) {
+        want[p] = net.evaluate(xs[p], ws);
+      }
+      EXPECT_TRUE(same_bytes(got, want))
+          << (sparse ? "sparse" : "dense") << ", P = " << probes;
+    }
+  }
 }
 
 TEST(Ops, Rank1Update) {

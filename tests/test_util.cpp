@@ -229,6 +229,90 @@ TEST(ParallelFor, NestedCallsCoverEveryPairExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+// Holds every worker of `pool` in a task that waits for release(); a side
+// thread ends the process if the test outlives a deadline, so a call that
+// waits on a held worker fails instead of hanging the suite. The pool is
+// the last member, so its workers are joined before anything they use is
+// destroyed.
+class HeldPool {
+ public:
+  explicit HeldPool(std::size_t workers) : pool(workers) {
+    deadline_ = std::thread([this] {
+      std::unique_lock lock(mutex_);
+      if (!cv_.wait_for(lock, std::chrono::seconds(20),
+                        [this] { return finished_; })) {
+        std::fprintf(stderr, "parallel_for did not return in 20 s\n");
+        std::_Exit(EXIT_FAILURE);
+      }
+    });
+    for (std::size_t w = 0; w < workers; ++w) {
+      pool.submit([this] {
+        std::unique_lock lock(mutex_);
+        ++holding_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      });
+    }
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [this, workers] { return holding_ == workers; });
+  }
+  ~HeldPool() {
+    release();
+    {
+      std::lock_guard lock(mutex_);
+      finished_ = true;
+    }
+    cv_.notify_all();
+    deadline_.join();
+  }
+  HeldPool(const HeldPool&) = delete;
+  HeldPool& operator=(const HeldPool&) = delete;
+
+  void release() {
+    {
+      std::lock_guard lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::size_t holding_ = 0;  ///< guarded by mutex_
+  bool released_ = false;    ///< guarded by mutex_
+  bool finished_ = false;    ///< guarded by mutex_
+  std::thread deadline_;
+
+ public:
+  ThreadPool pool;
+};
+
+TEST(ParallelFor, CallerClaimsIndices) {
+  // Every worker is held by a task that one body releases, so the call can
+  // finish only if its caller runs indices itself; once released, the
+  // helpers may claim the rest alongside it.
+  HeldPool held(2);
+  std::vector<std::atomic<int>> hits(32);
+  parallel_for(held.pool, 0, hits.size(), [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    if (i == 5) held.release();
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, ReturnsWithoutWaitingForHelpersThatNeverStarted) {
+  // The workers stay held until the call has returned: the caller runs
+  // every index, and a helper the pool starts afterwards runs none.
+  HeldPool held(2);
+  std::vector<std::atomic<int>> hits(8);
+  parallel_for(held.pool, 0, hits.size(),
+               [&](std::size_t i) { hits[i].fetch_add(1); });
+  held.release();
+  held.pool.wait_idle();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(Accumulator, BasicMoments) {
   Accumulator acc;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.add(x);
