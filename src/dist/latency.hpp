@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -43,6 +44,17 @@ struct LatencyModel {
   /// a loop of sample() in layer-major order, as sample_layers makes.
   void sample_layers_into(const std::vector<std::size_t>& widths, Rng& rng,
                           std::vector<std::vector<double>>& out) const;
+
+  /// sample_layers_into for a block of requests, each with its own stream:
+  /// request p draws from streams[p] into out[p * n, (p + 1) * n), where n
+  /// is the sum of `widths`, in the same layer-major order. Two requests
+  /// draw side by side in the lanes of one two-wide vector; every lane
+  /// step is integer arithmetic or exact, so each request's draws, and
+  /// the state its stream is left in (a cached normal deviate included),
+  /// equal sample_layers_into's on that stream alone. An odd last request
+  /// draws alone. Requires out.size() == streams.size() * n.
+  void sample_block_into(const std::vector<std::size_t>& widths,
+                         std::span<Rng> streams, std::span<double> out) const;
 };
 
 }  // namespace wnf::dist

@@ -15,6 +15,14 @@
 // channels, the fault semantics the Injector applies (fault/plan.hpp), the
 // capacity-C clamp, the hold-last history and the stragglers' cut.
 //
+// A run of requests that share one fault plan can be evaluated as one
+// block (evaluate_block, the serving replicas' step): each request draws
+// its latencies from its own stream and gets its own timing pass, then one
+// evaluate_hooked pass carries every request as one probe of the block.
+// The hooks act per (row, probe), and request p's stragglers are zeroed at
+// element (i, p), so every request keeps the bits of its one-request
+// evaluation.
+//
 // One argument differs from the Injector's: the base a perturbing
 // Byzantine neuron adds its value to is its *locally computed* value
 // (which may already reflect upstream damage), not the offline nominal
@@ -90,6 +98,20 @@ class NetworkSimulator {
                              std::span<const std::size_t> wait_counts,
                              ResetPolicy policy = ResetPolicy::kZero);
 
+  /// Corollary-2 evaluation of a block of requests under the installed
+  /// plan, with kZero resets: request p reads inputs[p], draws its
+  /// latencies from streams[p] (model.sample_block_into) and is cut per
+  /// `wait_counts` (empty means full waits, as evaluate()). out[p] gets what
+  /// sample_latencies(model, streams[p]) and then evaluate_boosted would
+  /// return, bit for bit, except layer_fire_times, which stays empty. The
+  /// streams advance as sample_latencies advances them. Writes no hold-last
+  /// history and leaves the history empty, as reset_history() does; the
+  /// one-request latencies are not touched.
+  void evaluate_block(std::span<const std::span<const double>> inputs,
+                      std::span<Rng> streams, const LatencyModel& model,
+                      std::span<const std::size_t> wait_counts,
+                      std::span<SimResult> out);
+
   /// Per-neuron latencies, shape layer_widths(). Defaults to all-zero
   /// (instantaneous network, completion_time 0).
   void set_latencies(std::vector<std::vector<double>> latencies);
@@ -113,6 +135,14 @@ class NetworkSimulator {
   SimResult run(std::span<const double> x,
                 std::span<const std::size_t> wait_counts, ResetPolicy policy);
 
+  /// The timing pass of the block's request p, from its latencies (layer
+  /// after layer, laid end to end): every receiver set's wait set and
+  /// stragglers, the completion time and the resets, into `result`. Adds
+  /// each layer's fire time to `fire_times` when that is non-null.
+  void time_request(std::size_t p, std::span<const double> latencies,
+                    std::span<const std::size_t> wait_counts,
+                    SimResult& result, std::vector<double>* fire_times);
+
   /// Shared wait set for every receiver hearing arrival_: keeps the
   /// `wait_count` earliest senders, lists the rest in `stragglers`, and
   /// charges `receivers` reset messages per straggler. Returns the barrier
@@ -120,36 +150,43 @@ class NetworkSimulator {
   double wait_for(std::size_t wait_count, std::size_t receivers,
                   std::vector<std::size_t>& stragglers, SimResult& result);
 
-  /// Overwrites what receiver set l (1..L+1) reads from each of its
-  /// stragglers in `y`, the values layer l-1 sent, per policy_.
-  void substitute_stragglers(std::size_t l, std::span<double> y) const;
+  /// Overwrites what receiver set l (1..L+1) reads from each request's
+  /// stragglers in `y`, the block layer l-1 sent, per policy_: request p's
+  /// straggler i at element (i, p).
+  void substitute_stragglers(std::size_t l, nn::BlockView<double> y) const;
 
-  /// Pre-activation hook: per-edge channels, then synapse faults. A
-  /// request is one probe, so its blocks are the layers' plain vectors.
+  /// Pre-activation hook: per-edge channels, then synapse faults.
   void deliver(std::size_t l, nn::BlockView<const double> y_prev,
                nn::BlockView<double> s) const;
 
   /// Post-activation hook: neuron faults, the capacity-C clamp, the
-  /// hold-last history row, then the next receiver set's cut.
+  /// hold-last history row (one-request passes only), then the next
+  /// receiver set's cut.
   void transmit(std::size_t l, nn::BlockView<double> y);
 
   const nn::FeedForwardNetwork& net_;
   SimConfig config_;
   std::vector<std::size_t> widths_;             ///< cached layer_widths()
   std::vector<std::size_t> full_wait_;          ///< evaluate()'s wait counts
-  std::vector<std::vector<double>> latencies_;  ///< per layer, per neuron
+  std::vector<double> latencies_;  ///< per neuron, layer after layer
   fault::FaultPlan plan_;
   std::vector<std::vector<double>> history_;  ///< last transmitted values
   bool has_history_ = false;
+  bool record_history_ = true;  ///< false while a block pass runs
 
   // Reused evaluation workspaces (sized once; no per-layer allocation).
   std::vector<std::vector<double>> history_next_;
-  std::vector<std::vector<std::size_t>> stragglers_;  ///< per receiver set
+  /// Request p's straggler list for receiver set l (1..L+1) at
+  /// [p * (L + 1) + l - 1]; a one-request evaluation is request 0.
+  std::vector<std::vector<std::size_t>> stragglers_;
   ResetPolicy policy_ = ResetPolicy::kZero;  ///< this evaluation's policy
   std::vector<double> arrival_;   ///< when the previous round's values arrived
   std::vector<double> fire_;      ///< fire times under construction
   std::vector<std::size_t> order_;  ///< senders sorted by arrival
-  std::vector<double> input_;     ///< x with cut input clients read as 0
+  std::vector<double> input_;     ///< x (a block's x, probe-minor) with cut
+                                  ///< input clients read as 0
+  std::vector<double> block_latencies_;  ///< a block's draws, per request
+  std::vector<double> block_output_;     ///< a block's outputs
   nn::Workspace workspace_;       ///< the forward pass's buffers
   nn::ForwardHooks hooks_;        ///< deliver() and transmit() on `this`
 };

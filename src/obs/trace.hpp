@@ -53,7 +53,9 @@ enum class TraceName : std::uint16_t {
   // Request lifecycle, shared by both serving runtimes.
   kRequest = 1,   ///< async: accepted at submit -> delivered to the driver
   kQueue = 2,     ///< async: accepted -> a replica/worker starts executing
-  kExecute = 3,   ///< span: one simulator evaluation (pool replica thread)
+  kExecute = 3,   ///< span: one pool replica's run of same-segment
+                  ///< requests, served as one simulator block (id=first
+                  ///< request id, value=run length)
   kCompletionPush = 4,  ///< instant: a worker pushed finished results
   kDeliver = 5,         ///< instant: the driver popped a result in id order
   // Transport host.

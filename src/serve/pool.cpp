@@ -11,8 +11,9 @@ namespace wnf::serve {
 namespace {
 
 /// Requests a worker claims per dispatch-queue lock. Chunking amortises
-/// the lock the way wire batching amortises syscalls; small enough that
-/// work-stealing balance survives heavy-tailed per-request latency draws.
+/// the lock the way wire batching amortises syscalls, and sets the largest
+/// block a replica serves; small enough that work-stealing balance
+/// survives heavy-tailed per-request latency draws.
 constexpr std::size_t kGrabChunk = 8;
 
 std::size_t resolve_replicas(std::size_t requested) {
@@ -161,13 +162,18 @@ std::size_t ReplicaPool::submit_batch(
   return accepted;
 }
 
-RequestResult ReplicaPool::process(Replica& replica,
-                                   const PendingRequest& request) {
-  // The queue span ends where execution begins; the execute span is the
-  // simulator evaluation itself, on this replica's thread.
-  obs::async_end(obs::TraceName::kQueue, trace_tag_ + request.id);
-  const obs::ScopedSpan span(obs::TraceName::kExecute, request.id);
-  const std::size_t segment = timeline_.segment_at(request.id);
+void ReplicaPool::serve_run(Replica& replica, std::size_t segment,
+                            std::span<const PendingRequest> run,
+                            std::vector<RequestResult>& finished) {
+  // Each request's queue span ends where its run starts; the execute span
+  // is the run's block evaluation, on this replica's thread.
+  if (obs::enabled()) {
+    for (const PendingRequest& request : run) {
+      obs::async_end(obs::TraceName::kQueue, trace_tag_ + request.id);
+    }
+  }
+  const obs::ScopedSpan span(obs::TraceName::kExecute, run.front().id,
+                             run.size());
   if (segment != replica.segment) {
     const auto& plan = timeline_.segment_plan(segment);
     if (plan.empty()) {
@@ -177,15 +183,20 @@ RequestResult ReplicaPool::process(Replica& replica,
     }
     replica.segment = segment;
   }
-  Rng request_rng = request.rng;
-  replica.sim.sample_latencies(config_.latency, request_rng);
-  const dist::SimResult sim_result =
-      wait_counts_.empty()
-          ? replica.sim.evaluate(request.x)
-          : replica.sim.evaluate_boosted(
-                request.x, {wait_counts_.data(), wait_counts_.size()});
-  return {request.id, sim_result.output, sim_result.completion_time,
-          sim_result.resets_sent};
+  replica.inputs.clear();
+  replica.streams.clear();
+  for (const PendingRequest& request : run) {
+    replica.inputs.emplace_back(request.x);
+    replica.streams.push_back(request.rng);
+  }
+  replica.results.resize(run.size());
+  replica.sim.evaluate_block(replica.inputs, replica.streams, config_.latency,
+                             wait_counts_, replica.results);
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    const dist::SimResult& result = replica.results[i];
+    finished.push_back({run[i].id, result.output, result.completion_time,
+                        result.resets_sent});
+  }
 }
 
 void ReplicaPool::worker_loop(std::size_t r) {
@@ -212,8 +223,18 @@ void ReplicaPool::worker_loop(std::size_t r) {
     // is parked.
     Replica& replica = *replicas_[r];
     finished.clear();
-    for (const PendingRequest& request : grabbed) {
-      finished.push_back(process(replica, request));
+    // The chunk splits at segment boundaries; each run of one segment's
+    // requests shares a plan and is served as one block.
+    for (std::size_t begin = 0; begin < grabbed.size();) {
+      const std::size_t segment = timeline_.segment_at(grabbed[begin].id);
+      std::size_t end = begin + 1;
+      while (end < grabbed.size() &&
+             timeline_.segment_at(grabbed[end].id) == segment) {
+        ++end;
+      }
+      serve_run(replica, segment, {grabbed.data() + begin, end - begin},
+                finished);
+      begin = end;
     }
     // Every claimed request is flushed before the worker can sleep again,
     // so the consumer never waits on a result a parked worker is holding.

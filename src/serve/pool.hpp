@@ -142,15 +142,18 @@ class ReplicaPool {
   const nn::FeedForwardNetwork& network() const { return *net_; }
 
  private:
-  /// One worker's serving state: a simulator plus the timeline segment it
+  /// One worker's serving state: a simulator, the timeline segment it
   /// currently has installed (so consecutive requests in the same segment
-  /// skip the plan re-install).
+  /// skip the plan re-install), and one run's block, sized on first use.
   struct Replica {
     explicit Replica(const nn::FeedForwardNetwork& net,
                      const dist::SimConfig& config)
         : sim(net, config) {}
     dist::NetworkSimulator sim;
     std::size_t segment = kNoSegment;
+    std::vector<std::span<const double>> inputs;
+    std::vector<Rng> streams;
+    std::vector<dist::SimResult> results;
   };
   static constexpr std::size_t kNoSegment = ~std::size_t{0};
 
@@ -163,7 +166,12 @@ class ReplicaPool {
   /// Points the pool at `net`: one fresh simulator per replica and the
   /// straggler cut's wait counts for it.
   void bind(const nn::FeedForwardNetwork& net);
-  RequestResult process(Replica& replica, const PendingRequest& request);
+  /// The replica step: serves `run`, consecutive requests of timeline
+  /// segment `segment`, as one simulator block (installing the segment's
+  /// plan on a segment change) and appends their results.
+  void serve_run(Replica& replica, std::size_t segment,
+                 std::span<const PendingRequest> run,
+                 std::vector<RequestResult>& finished);
   void worker_loop(std::size_t r);
   void delivered(const RequestResult& result);
 

@@ -115,8 +115,8 @@ bool evaluate_probe(const RequestSlot& req, std::span<const double> x,
       !(segment == 0 && replica.segments.empty())) {
     return false;
   }
-  // Same install-on-segment-change discipline as ReplicaPool::process: a
-  // run of requests in one segment pays one plan install.
+  // Same install-on-segment-change discipline as ReplicaPool::serve_run:
+  // a run of requests in one segment pays one plan install.
   if (segment != replica.installed) {
     const fault::FaultPlan* plan =
         replica.segments.empty() ? nullptr : &replica.segments[segment];

@@ -54,6 +54,14 @@ class Rng {
     has_cached_normal_ = false;
   }
 
+  /// Moves the stream on to `state`: words its owner computed by stepping
+  /// this stream's state() as next_u64 would (the lane-parallel latency
+  /// draws). Unlike set_state, keeps any cached Box-Muller deviate, so the
+  /// stream ends exactly where that many next_u64 calls leave it.
+  void advance_to(const std::array<std::uint64_t, 4>& state) {
+    state_ = state;
+  }
+
   /// Uniform double in [0, 1): the 53 high bits, full mantissa resolution.
   double uniform() {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;

@@ -6,6 +6,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <span>
+#include <vector>
 
 #include "dist/boosting.hpp"
 #include "dist/sim.hpp"
@@ -433,6 +436,58 @@ TEST(Latency, SampleLayersIntoMatchesSampleLayers) {
   }
 }
 
+TEST(Latency, BlockDrawsMatchPerRequestDraws) {
+  // Each request's block draws are sample_layers_into's on a copy of its
+  // stream, bit for bit, and each stream ends where that call leaves it,
+  // a cached normal deviate included, for every kind and block size
+  // (pairs in vector lanes, an odd request alone).
+  const std::vector<std::vector<std::size_t>> shapes{{64, 64, 64}, {5, 3}};
+  for (const auto kind :
+       {LatencyKind::kConstant, LatencyKind::kUniform, LatencyKind::kHeavyTail}) {
+    const LatencyModel model{kind, 1.5, 30.0, 0.25};
+    for (const auto& widths : shapes) {
+      std::size_t n = 0;
+      for (const std::size_t w : widths) n += w;
+      for (const std::size_t probes : {1u, 2u, 3u, 8u, 17u}) {
+        Rng root(91 + probes);
+        std::vector<Rng> streams;
+        for (std::size_t p = 0; p < probes; ++p) {
+          streams.push_back(root.split());
+          // Caches a deviate, in either lane of a pair and alone.
+          if (p % 3 == 1) streams.back().normal();
+        }
+        const std::vector<Rng> reference_streams = streams;
+        std::vector<double> block(probes * n, -1.0);
+        model.sample_block_into(widths, streams, block);
+        for (std::size_t p = 0; p < probes; ++p) {
+          Rng reference = reference_streams[p];
+          std::vector<std::vector<double>> layers;
+          model.sample_layers_into(widths, reference, layers);
+          std::vector<double> expected;
+          for (const auto& layer : layers) {
+            expected.insert(expected.end(), layer.begin(), layer.end());
+          }
+          ASSERT_EQ(expected.size(), n);
+          EXPECT_EQ(std::memcmp(block.data() + p * n, expected.data(),
+                                n * sizeof(double)),
+                    0)
+              << static_cast<int>(kind) << ", P = " << probes << ", p = "
+              << p << ", n = " << n;
+          Rng after = streams[p];
+          if (p % 3 == 1) {
+            EXPECT_EQ(bits(after.normal()), bits(reference.normal()))
+                << static_cast<int>(kind) << ", P = " << probes << ", p = "
+                << p;
+          }
+          EXPECT_EQ(after.next_u64(), reference.next_u64())
+              << static_cast<int>(kind) << ", P = " << probes << ", p = "
+              << p;
+        }
+      }
+    }
+  }
+}
+
 TEST(LatencyDeathTest, InvalidModelAbortsThroughSampleLayersInto) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const std::vector<std::size_t> widths{3, 2};
@@ -578,6 +633,126 @@ TEST(Simulator, ResultBitsPinnedUnderCutsFaultsAndChannels) {
           << round << " layer " << l + 1;
     }
   }
+}
+
+TEST(Simulator, BlockMatchesPerRequestBitForBit) {
+  // evaluate_block against the one-request path: a fresh simulator per
+  // configuration draws each request's latencies with sample_latencies
+  // and runs evaluate_boosted. Every request's output and completion time
+  // keep their bits and its resets their count, under full waits, cuts
+  // (with and without the output entry), every neuron and synapse fault
+  // species (the output set included), per-edge channels, and binding,
+  // unit and unbounded capacities. One block simulator serves every
+  // block size in turn, so a block also reads nothing a larger earlier
+  // block left behind.
+  using fault::NeuronFaultKind;
+  using fault::SynapseFaultKind;
+  const auto dense = sim_net(13);
+  const auto capped = capped_small_world_net();
+  const LatencyModel latency{LatencyKind::kHeavyTail, 1.0, 50.0, 0.3};
+  struct Case {
+    const nn::FeedForwardNetwork* net;
+    std::vector<std::size_t> waits;  // empty: full waits, as evaluate()
+  };
+  const std::vector<Case> cases{
+      {&dense, {}},
+      {&dense, {3, 7}},                                // full, explicit
+      {&dense, wait_counts_from_cut(dense, {2, 1})},   // size L + 1
+      {&dense, {3, 5}},                                // L entries: a cut
+      {&capped, {}},
+      {&capped, {6, 9, 7, 4}},                         // output entry too
+      {&capped, {8, 12, 7}},
+  };
+  for (const Case& c : cases) {
+    const nn::FeedForwardNetwork& net = *c.net;
+    const std::size_t depth = net.layer_count();
+    fault::FaultPlan faults;
+    faults.neurons = {{1, 2, NeuronFaultKind::kCrash, 0.0},
+                      {1, 4, NeuronFaultKind::kByzantine, 0.4},
+                      {2, 1, NeuronFaultKind::kStuckAt, 0.7}};
+    if (depth == 3) {
+      faults.neurons.push_back({3, 1, NeuronFaultKind::kByzantine, -0.5});
+      const auto* topo = net.layer(2).topology();
+      faults.synapses = {{2, topo->edge_row(0), topo->cols()[0],
+                          SynapseFaultKind::kCrash, 0.0},
+                         {2, topo->edge_row(3), topo->cols()[3],
+                          SynapseFaultKind::kByzantine, 0.3}};
+    } else {
+      faults.synapses = {{2, 1, 3, SynapseFaultKind::kCrash, 0.0},
+                         {2, 4, 6, SynapseFaultKind::kByzantine, 0.3}};
+    }
+    faults.synapses.push_back({depth + 1, 0, 1, SynapseFaultKind::kCrash, 0.0});
+    faults.synapses.push_back(
+        {depth + 1, 0, 2, SynapseFaultKind::kByzantine, 0.6});
+    fault::FaultPlan transmitted = faults;
+    transmitted.convention = theory::CapacityConvention::kTransmittedValueBound;
+    for (const auto& plan : {fault::FaultPlan{}, faults, transmitted}) {
+      for (const double capacity : {0.9, 1.0, 0.0, -1.0}) {
+        SimConfig config;
+        config.capacity = capacity;
+        NetworkSimulator block_sim(net, config);
+        block_sim.apply_faults(plan);
+        std::vector<std::size_t> full_wait{net.input_dim()};
+        for (std::size_t l = 1; l < depth; ++l) {
+          full_wait.push_back(net.layer_width(l));
+        }
+        const std::vector<std::size_t>& waits =
+            c.waits.empty() ? full_wait : c.waits;
+        Rng root(101);
+        for (const std::size_t probes : {17u, 1u, 8u, 2u, 3u}) {
+          std::vector<std::vector<double>> xs(probes);
+          std::vector<std::span<const double>> inputs;
+          std::vector<Rng> streams;
+          for (auto& x : xs) {
+            streams.push_back(root.split());
+            x.resize(net.input_dim());
+            for (double& v : x) v = root.uniform(-1.0, 1.0);
+            inputs.emplace_back(x);
+          }
+          const std::vector<Rng> reference_streams = streams;
+          std::vector<SimResult> results(probes);
+          block_sim.evaluate_block(inputs, streams, latency, c.waits, results);
+          NetworkSimulator reference(net, config);
+          reference.apply_faults(plan);
+          for (std::size_t p = 0; p < probes; ++p) {
+            Rng stream = reference_streams[p];
+            reference.sample_latencies(latency, stream);
+            const auto expected = reference.evaluate_boosted(xs[p], waits);
+            EXPECT_EQ(bits(results[p].output), bits(expected.output))
+                << "P = " << probes << ", p = " << p << ", C = " << capacity;
+            EXPECT_EQ(bits(results[p].completion_time),
+                      bits(expected.completion_time))
+                << "P = " << probes << ", p = " << p;
+            EXPECT_EQ(results[p].resets_sent, expected.resets_sent)
+                << "P = " << probes << ", p = " << p;
+            EXPECT_TRUE(results[p].layer_fire_times.empty());
+            EXPECT_EQ(streams[p].next_u64(), stream.next_u64());
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Simulator, BlockLeavesTheHoldLastHistoryEmpty) {
+  // After a block, a hold-last cut reads 0, as after reset_history().
+  const auto net = sim_net();
+  NetworkSimulator sim(net, SimConfig{});
+  std::vector<std::vector<double>> latencies{
+      std::vector<double>(7, 1.0), std::vector<double>(5, 0.0)};
+  latencies[0][4] = 100.0;
+  sim.set_latencies(latencies);
+  const std::vector<std::size_t> wait{3, 6};
+  const std::vector<double> x{0.3, 0.3, 0.3};
+  sim.evaluate(x);  // primes the history
+  const std::vector<std::span<const double>> inputs{x};
+  std::vector<Rng> streams{Rng(5)};
+  std::vector<SimResult> results(1);
+  sim.evaluate_block(inputs, streams, {}, {}, results);
+  const double held =
+      sim.evaluate_boosted(x, wait, ResetPolicy::kHoldLast).output;
+  sim.reset_history();
+  EXPECT_EQ(bits(held), bits(sim.evaluate_boosted(x, wait).output));
 }
 
 }  // namespace

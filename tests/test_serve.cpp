@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "dist/boosting.hpp"
+#include "dist/sim.hpp"
 #include "fault/injector.hpp"
 #include "nn/builder.hpp"
 #include "obs/trace.hpp"
@@ -545,6 +546,105 @@ struct TracingOn {
   TracingOn() { obs::set_enabled(true); }
   ~TracingOn() { obs::set_enabled(false); }
 };
+
+TEST(Serve, RunsSplitAtSegmentBoundariesBitForBit) {
+  // A replica serves each run of consecutive same-segment requests in its
+  // chunk as one simulator block. Windows of 1, 2 and 3 requests inside
+  // the first 8-request chunk (and again further on) split chunks into
+  // runs of every length. Batched and one-at-a-time traffic, at 1, 2 and
+  // 8 replicas, must equal a sequential simulator bit for bit; the trace
+  // shows one execute span per run, within one segment and one chunk.
+  const auto net = serve_net(13);
+  const auto workload = serve_workload(48, 83);
+  const std::vector<std::size_t> cut{2, 1};
+  fault::FaultPlan crash;
+  crash.neurons = {{1, 3, fault::NeuronFaultKind::kCrash, 0.0}};
+  fault::FaultPlan byzantine;
+  byzantine.neurons = {{2, 0, fault::NeuronFaultKind::kByzantine, 0.6}};
+  fault::FaultPlan stuck;
+  stuck.neurons = {{1, 5, fault::NeuronFaultKind::kStuckAt, 0.8}};
+  stuck.synapses = {{3, 0, 2, fault::SynapseFaultKind::kCrash, 0.0}};
+  FaultTimeline timeline;
+  timeline.add(1, 2, crash);
+  timeline.add(3, 5, byzantine);
+  timeline.add(5, 8, stuck);
+  timeline.add(17, 18, byzantine);
+  timeline.add(20, 22, crash);
+  timeline.add(29, 32, stuck);
+
+  ServeConfig config;
+  config.latency = heavy_tail();
+  config.straggler_cut = cut;
+  config.seed = 515;
+
+  FaultTimeline segments = timeline;
+  segments.finalize(net);
+  dist::NetworkSimulator reference(net, config.sim);
+  const auto wait_counts = dist::wait_counts_from_cut(net, cut);
+  Rng root(config.seed);
+  std::vector<RequestResult> expected;
+  for (std::size_t id = 0; id < workload.size(); ++id) {
+    const auto plan = segments.active_at(id);
+    if (plan.empty()) {
+      reference.clear_faults();
+    } else {
+      reference.apply_faults(plan);
+    }
+    Rng stream = root.split();
+    reference.sample_latencies(config.latency, stream);
+    const auto result = reference.evaluate_boosted(workload[id], wait_counts);
+    expected.push_back(
+        {id, result.output, result.completion_time, result.resets_sent});
+  }
+
+  const TracingOn tracing;
+  for (const std::size_t replicas : {1u, 2u, 8u}) {
+    config.replicas = replicas;
+    for (const bool batched : {true, false}) {
+      obs::TraceLog::instance().reset();
+      std::vector<RequestResult> served;
+      {
+        ReplicaPool pool(net, config);
+        pool.set_timeline(timeline);
+        if (batched) {
+          ASSERT_EQ(pool.submit_batch(workload), workload.size());
+          served = pool.drain();
+        } else {
+          for (const auto& x : workload) {
+            ASSERT_TRUE(pool.submit(x));
+            served.push_back(pool.wait());
+          }
+        }
+      }  // joins the replica threads: their rings are quiescent
+      expect_identical(served, expected,
+                       std::to_string(replicas) + " replicas, " +
+                           (batched ? "batched" : "one at a time"));
+      if (!WNF_OBS_ENABLED) continue;
+      std::size_t spans = 0;
+      std::size_t requests = 0;
+      for (const auto& ring : obs::TraceLog::instance().collect()) {
+        for (const obs::TraceEvent& event : ring.events) {
+          if (event.name != obs::TraceName::kExecute ||
+              event.kind != obs::EventKind::kSpanBegin) {
+            continue;
+          }
+          ++spans;
+          requests += event.value;
+          EXPECT_GE(event.value, 1u);
+          EXPECT_LE(event.value, 8u);
+          EXPECT_EQ(segments.segment_at(event.id),
+                    segments.segment_at(event.id + event.value - 1))
+              << "run " << event.id << " + " << event.value;
+        }
+      }
+      EXPECT_EQ(requests, workload.size());
+      if (!batched) {
+        EXPECT_EQ(spans, workload.size());
+      }
+    }
+  }
+  obs::TraceLog::instance().reset();
+}
 
 TEST(Serve, RebindResetsTheRegistryForPerDeploymentDeltas) {
   // Every serve.* metric driven to a known nonzero value, then zeroed by
