@@ -43,6 +43,7 @@
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "serve/pool.hpp"
+#include "tensor/ops.hpp"
 #include "transport/host.hpp"
 #include "transport/worker.hpp"
 
@@ -178,6 +179,36 @@ BenchFile measure() {
           for (const auto& x : workload) checksum += net.evaluate(x);
         });
     entry.checksum = checksum;
+    file.benches.push_back(std::move(entry));
+  }
+
+  // The same probes as 32 blocks of 16, one campaign trial's nominal pass
+  // each (exec::compute_nominal), so the block kernels' bits are pinned by
+  // the checksum. Ungated: the block path's speed follows the CPU's lane
+  // width, which the calibration loop does not.
+  {
+    constexpr std::size_t kBlock = 16;
+    const double nominal_checksum = file.benches.back().checksum;
+    std::printf("nominal_forward_block16: block kernels %zu lanes wide\n",
+                detail::block_lane_widths().back());
+    nn::Workspace ws;
+    std::vector<double> outputs(kBlock);
+    double checksum = 0.0;
+    BenchEntry entry = time_scenario(
+        "perf_micro/nominal_forward_block16", workload.size(), [&] {
+          checksum = 0.0;
+          for (std::size_t b = 0; b < workload.size(); b += kBlock) {
+            const std::span<const std::vector<double>> block(
+                workload.data() + b, kBlock);
+            net.evaluate_hooked(ws.pack(block), {}, ws, outputs);
+            for (const double out : outputs) checksum += out;
+          }
+        });
+    entry.checksum = checksum;
+    entry.gated = false;
+    std::fflush(stdout);  // std::abort below would drop a buffered line
+    WNF_ASSERT(checksum == nominal_checksum &&
+               "the block path must reproduce nominal_forward bit for bit");
     file.benches.push_back(std::move(entry));
   }
 

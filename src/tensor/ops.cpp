@@ -1,9 +1,18 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
-#include <type_traits>
+#include <utility>
+
+// The 4- and 8-lane block paths need GCC/Clang target attributes and
+// __builtin_cpu_supports; elsewhere the two-lane path is the only one.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define WNF_LANE_DISPATCH 1
+#else
+#define WNF_LANE_DISPATCH 0
+#endif
 
 namespace wnf {
 
@@ -25,36 +34,11 @@ double csr_row_sum(double sum, const double* w, const std::size_t* cols,
   return sum;
 }
 
-// The block kernels' tiles. A Lanes value holds one row's sums for two
-// probes; the `double` instantiations of the same tiles finish an odd
-// probe. Accumulators are named locals, so they stay in registers (a stack
-// array of them left to the vectorizer ran 2.6-3.7x slower than gemv).
-using Lanes = double __attribute__((vector_size(16)));
-
+// The block kernels' tiles. A lane vector V holds one row's sums for
+// kWidth<V> probes (V = double finishes an odd probe): two-wide on every
+// target (lanes2), 4- and 8-wide under AVX2 and AVX-512F (lanes4, lanes8).
 template <typename V>
 constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
-
-template <typename V>
-V load(const double* p) {
-  V v;
-  std::memcpy(&v, p, sizeof v);  // unaligned
-  return v;
-}
-
-template <typename V>
-void store(double* p, V v) {
-  std::memcpy(p, &v, sizeof v);
-}
-
-// `w` in every lane.
-template <typename V>
-V splat(double w) {
-  if constexpr (std::is_same_v<V, double>) {
-    return w;
-  } else {
-    return V{w, w};
-  }
-}
 
 // The column of a row's k-th term: a dense row reads every column in
 // order; a CSR row reads its edges (a `const std::size_t*` indexes alike).
@@ -62,185 +46,183 @@ struct EveryColumn {
   std::size_t operator[](std::size_t k) const { return k; }
 };
 
-// One row's sums over its `n` terms for probes [0, 4 * kWidth<V>) of the
-// block at x and y (probe stride `probes`): four vectors of lanes, each
-// term's weight broadcast across them.
-template <typename V, typename Cols>
-void row_x4(const double* w, Cols cols, std::size_t n, const double* x,
-            std::size_t probes, double* y) {
+// One tile: the sums of R rows (weights at row stride `stride`) over their
+// `n` terms, for probes [0, Q * kWidth<V>) of the block at x and y (probe
+// stride `probes`). Each term loads its column's Q vectors once and
+// multiplies each row's weight into them; the scalar-vector product copies
+// the weight into every lane (never an add: 0.0 + -0.0 is +0.0).
+//
+// The R * Q accumulators are an array indexed only by the packs, so after
+// SRA they are registers (an array left to the vectorizer's loops ran
+// 2.6-3.7x slower than gemv). Tiles are always inlined, so each compiles
+// with its caller's target, and no vector crosses a call: a 32- or 64-byte
+// vector passed to a function without AVX would change the ABI.
+template <typename V, std::size_t R, std::size_t Q, typename Cols,
+          std::size_t... I, std::size_t... J>
+[[gnu::always_inline]] inline void tile(const double* w, std::size_t stride,
+                                        Cols cols, std::size_t n,
+                                        const double* x, std::size_t probes,
+                                        double* y, std::index_sequence<I...>,
+                                        std::index_sequence<J...>) {
   constexpr std::size_t k = kWidth<V>;
-  V s0{};
-  V s1{};
-  V s2{};
-  V s3{};
+  V s[R * Q] = {};
   for (std::size_t e = 0; e < n; ++e) {
     const std::size_t c = cols[e];
-    const V wc = splat<V>(w[c]);
-    const double* xc = x + c * probes;
-    const V t0 = wc * load<V>(xc);
-    const V t1 = wc * load<V>(xc + k);
-    const V t2 = wc * load<V>(xc + 2 * k);
-    const V t3 = wc * load<V>(xc + 3 * k);
-    s0 += t0;
-    s1 += t1;
-    s2 += t2;
-    s3 += t3;
+    V xc[Q];
+    (std::memcpy(&xc[J], x + c * probes + J * k, sizeof(V)), ...);
+    ((s[I] += w[I / Q * stride + c] * xc[I % Q]), ...);
   }
-  store(y, s0);
-  store(y + k, s1);
-  store(y + 2 * k, s2);
-  store(y + 3 * k, s3);
+  (std::memcpy(y + I / Q * probes + I % Q * k, &s[I], sizeof(V)), ...);
 }
 
-// row_x4 for probes [0, kWidth<V>): one vector of lanes.
-template <typename V, typename Cols>
-void row_x1(const double* w, Cols cols, std::size_t n, const double* x,
-            std::size_t probes, double* y) {
-  V s{};
-  for (std::size_t e = 0; e < n; ++e) {
-    const std::size_t c = cols[e];
-    const V t = splat<V>(w[c]) * load<V>(x + c * probes);
-    s += t;
-  }
-  store(y, s);
+template <typename V, std::size_t R, std::size_t Q, typename Cols>
+[[gnu::always_inline]] inline void tile(const double* w, std::size_t stride,
+                                        Cols cols, std::size_t n,
+                                        const double* x, std::size_t probes,
+                                        double* y) {
+  tile<V, R, Q>(w, stride, cols, n, x, probes, y,
+                std::make_index_sequence<R * Q>{},
+                std::make_index_sequence<Q>{});
 }
 
-// Every probe of one row: eight at a time, then pairs, then an odd one.
-template <typename Cols>
-void row_block(const double* w, Cols cols, std::size_t n, const double* x,
-               std::size_t probes, double* y) {
-  constexpr std::size_t k = kWidth<Lanes>;
-  std::size_t p = 0;
-  for (; p + 4 * k <= probes; p += 4 * k) {
-    row_x4<Lanes>(w, cols, n, x + p, probes, y + p);
+// The last `left` rows (fewer than 2H) of a dense block for probes
+// [0, Q * kWidth<V>): tiles of H, H/2, ..., 1 rows as the bits of `left`
+// say, so a 64-row layer ends on a four-row tile, not on one-chain rows.
+template <typename V, std::size_t H, std::size_t Q>
+[[gnu::always_inline]] inline void dense_tail(const double* w,
+                                              std::size_t left,
+                                              std::size_t cols,
+                                              const double* x,
+                                              std::size_t probes, double* y) {
+  if (left >= H) {
+    tile<V, H, Q>(w, cols, EveryColumn{}, cols, x, probes, y);
+    w += H * cols;
+    y += H * probes;
+    left -= H;
   }
-  for (; p + k <= probes; p += k) {
-    row_x1<Lanes>(w, cols, n, x + p, probes, y + p);
-  }
-  if (p < probes) row_x1<double>(w, cols, n, x + p, probes, y + p);
+  if constexpr (H > 1) dense_tail<V, H / 2, Q>(w, left, cols, x, probes, y);
 }
 
-// Three dense rows (row stride `cols`) for probes [0, 4 * kWidth<V>):
-// twelve sums, four vectors per row, sharing each column's four x loads.
-template <typename V>
-void rows3_x4(const double* w, std::size_t cols, const double* x,
-              std::size_t probes, double* y) {
-  constexpr std::size_t k = kWidth<V>;
-  const double* w0 = w;
-  const double* w1 = w0 + cols;
-  const double* w2 = w1 + cols;
-  V s00{};
-  V s01{};
-  V s02{};
-  V s03{};
-  V s10{};
-  V s11{};
-  V s12{};
-  V s13{};
-  V s20{};
-  V s21{};
-  V s22{};
-  V s23{};
-  for (std::size_t c = 0; c < cols; ++c) {
-    const double* xc = x + c * probes;
-    const V x0 = load<V>(xc);
-    const V x1 = load<V>(xc + k);
-    const V x2 = load<V>(xc + 2 * k);
-    const V x3 = load<V>(xc + 3 * k);
-    const V a0 = splat<V>(w0[c]);
-    const V t00 = a0 * x0;
-    const V t01 = a0 * x1;
-    const V t02 = a0 * x2;
-    const V t03 = a0 * x3;
-    s00 += t00;
-    s01 += t01;
-    s02 += t02;
-    s03 += t03;
-    const V a1 = splat<V>(w1[c]);
-    const V t10 = a1 * x0;
-    const V t11 = a1 * x1;
-    const V t12 = a1 * x2;
-    const V t13 = a1 * x3;
-    s10 += t10;
-    s11 += t11;
-    s12 += t12;
-    s13 += t13;
-    const V a2 = splat<V>(w2[c]);
-    const V t20 = a2 * x0;
-    const V t21 = a2 * x1;
-    const V t22 = a2 * x2;
-    const V t23 = a2 * x3;
-    s20 += t20;
-    s21 += t21;
-    s22 += t22;
-    s23 += t23;
-  }
-  double* y0 = y;
-  double* y1 = y0 + probes;
-  double* y2 = y1 + probes;
-  store(y0, s00);
-  store(y0 + k, s01);
-  store(y0 + 2 * k, s02);
-  store(y0 + 3 * k, s03);
-  store(y1, s10);
-  store(y1 + k, s11);
-  store(y1 + 2 * k, s12);
-  store(y1 + 3 * k, s13);
-  store(y2, s20);
-  store(y2 + k, s21);
-  store(y2 + 2 * k, s22);
-  store(y2 + 3 * k, s23);
-}
-
-// rows3_x4 for probes [0, kWidth<V>): one vector per row.
-template <typename V>
-void rows3_x1(const double* w, std::size_t cols, const double* x,
-              std::size_t probes, double* y) {
-  const double* w0 = w;
-  const double* w1 = w0 + cols;
-  const double* w2 = w1 + cols;
-  V s0{};
-  V s1{};
-  V s2{};
-  for (std::size_t c = 0; c < cols; ++c) {
-    const V xc = load<V>(x + c * probes);
-    const V t0 = splat<V>(w0[c]) * xc;
-    const V t1 = splat<V>(w1[c]) * xc;
-    const V t2 = splat<V>(w2[c]) * xc;
-    s0 += t0;
-    s1 += t1;
-    s2 += t2;
-  }
-  store(y, s0);
-  store(y + probes, s1);
-  store(y + 2 * probes, s2);
-}
-
-// Every probe of three dense rows: eight at a time, then pairs, then an
-// odd one.
-void rows3_block(const double* w, std::size_t cols, const double* x,
-                 std::size_t probes, double* y) {
-  constexpr std::size_t k = kWidth<Lanes>;
-  std::size_t p = 0;
-  for (; p + 4 * k <= probes; p += 4 * k) {
-    rows3_x4<Lanes>(w, cols, x + p, probes, y + p);
-  }
-  for (; p + k <= probes; p += k) {
-    rows3_x1<Lanes>(w, cols, x + p, probes, y + p);
-  }
-  if (p < probes) rows3_x1<double>(w, cols, x + p, probes, y + p);
-}
-
-// The dense block product of a row-major rows x cols block `w`.
-void dense_block(const double* w, std::size_t rows, std::size_t cols,
-                 const double* x, std::size_t probes, double* y) {
+// Every row of a row-major rows x cols block `w` for probes
+// [0, Q * kWidth<V>): R x Q tiles, then the remaining rows.
+template <typename V, std::size_t R, std::size_t Q>
+[[gnu::always_inline]] inline void dense_rows(const double* w,
+                                              std::size_t rows,
+                                              std::size_t cols,
+                                              const double* x,
+                                              std::size_t probes, double* y) {
   std::size_t r = 0;
-  for (; r + 3 <= rows; r += 3) {
-    rows3_block(w + r * cols, cols, x, probes, y + r * probes);
+  for (; r + R <= rows; r += R) {
+    tile<V, R, Q>(w + r * cols, cols, EveryColumn{}, cols, x, probes,
+                  y + r * probes);
   }
-  for (; r < rows; ++r) {
-    row_block(w + r * cols, EveryColumn{}, cols, x, probes, y + r * probes);
+  dense_tail<V, std::bit_floor(R - 1), Q>(w + r * cols, rows - r, cols, x,
+                                          probes, y + r * probes);
+}
+
+// Probes [0, count) of a dense block in kWidth<V>-lane tiles of twelve sums:
+// 3 x 4 per 4k probes, then 6 x 2 for 2k and 12 x 1 for k. Returns the
+// probes covered, count rounded down to a multiple of k; the caller hands
+// the rest to a narrower path.
+template <typename V>
+[[gnu::always_inline]] inline std::size_t dense_lanes(
+    const double* w, std::size_t rows, std::size_t cols, const double* x,
+    std::size_t probes, std::size_t count, double* y) {
+  constexpr std::size_t k = kWidth<V>;
+  std::size_t p = 0;
+  for (; p + 4 * k <= count; p += 4 * k) {
+    dense_rows<V, 3, 4>(w, rows, cols, x + p, probes, y + p);
   }
+  if (p + 2 * k <= count) {
+    dense_rows<V, 6, 2>(w, rows, cols, x + p, probes, y + p);
+    p += 2 * k;
+  }
+  if (p + k <= count) {
+    dense_rows<V, 12, 1>(w, rows, cols, x + p, probes, y + p);
+    p += k;
+  }
+  return p;
+}
+
+// Each path computes probes [0, count) of a block whose probe stride is
+// `probes`, in its own lanes as far as they fill, and hands the rest to the
+// next narrower path.
+namespace lanes2 {
+
+using V = double __attribute__((vector_size(16)));
+
+void dense(const double* w, std::size_t rows, std::size_t cols,
+           const double* x, std::size_t probes, std::size_t count,
+           double* y) {
+  const std::size_t p = dense_lanes<V>(w, rows, cols, x, probes, count, y);
+  if (p < count) {
+    dense_rows<double, 12, 1>(w, rows, cols, x + p, probes, y + p);
+  }
+}
+
+}  // namespace lanes2
+
+#if WNF_LANE_DISPATCH
+namespace lanes4 {
+
+using V = double __attribute__((vector_size(32)));
+
+__attribute__((target("avx2"))) void dense(const double* w, std::size_t rows,
+                                           std::size_t cols, const double* x,
+                                           std::size_t probes,
+                                           std::size_t count, double* y) {
+  const std::size_t p = dense_lanes<V>(w, rows, cols, x, probes, count, y);
+  if (p < count) lanes2::dense(w, rows, cols, x + p, probes, count - p, y + p);
+}
+
+}  // namespace lanes4
+
+namespace lanes8 {
+
+using V = double __attribute__((vector_size(64)));
+
+__attribute__((target("avx512f"))) void dense(const double* w,
+                                              std::size_t rows,
+                                              std::size_t cols,
+                                              const double* x,
+                                              std::size_t probes,
+                                              std::size_t count, double* y) {
+  const std::size_t p = dense_lanes<V>(w, rows, cols, x, probes, count, y);
+  if (p < count) lanes4::dense(w, rows, cols, x + p, probes, count - p, y + p);
+}
+
+}  // namespace lanes8
+#endif
+
+// The dense block product of a row-major rows x cols block `w` on the
+// `lanes`-wide path.
+void dense_block(std::size_t lanes, const double* w, std::size_t rows,
+                 std::size_t cols, const double* x, std::size_t probes,
+                 double* y) {
+  const auto widths = detail::block_lane_widths();
+  WNF_EXPECTS(std::find(widths.begin(), widths.end(), lanes) != widths.end());
+#if WNF_LANE_DISPATCH
+  if (lanes == 8) return lanes8::dense(w, rows, cols, x, probes, probes, y);
+  if (lanes == 4) return lanes4::dense(w, rows, cols, x, probes, probes, y);
+#endif
+  lanes2::dense(w, rows, cols, x, probes, probes, y);
+}
+
+// Every probe of one CSR row, two lanes wide: 1 x 4 tiles per eight probes,
+// then pairs, then an odd one. CSR rows share no columns, so a row is the
+// tile.
+void csr_row_block(const double* w, const std::size_t* cols, std::size_t n,
+                   const double* x, std::size_t probes, double* y) {
+  using V = lanes2::V;
+  constexpr std::size_t k = kWidth<V>;
+  std::size_t p = 0;
+  for (; p + 4 * k <= probes; p += 4 * k) {
+    tile<V, 1, 4>(w, 0, cols, n, x + p, probes, y + p);
+  }
+  for (; p + k <= probes; p += k) {
+    tile<V, 1, 1>(w, 0, cols, n, x + p, probes, y + p);
+  }
+  if (p < probes) tile<double, 1, 1>(w, 0, cols, n, x + p, probes, y + p);
 }
 
 }  // namespace
@@ -345,13 +327,47 @@ void gemv_csr(const Matrix& a, std::span<const std::size_t> row_ptr,
   }
 }
 
-void gemv_block(const Matrix& a, std::span<const double> x,
+namespace detail {
+
+std::span<const std::size_t> block_lane_widths() {
+  static constexpr std::size_t kWidths[] = {2, 4, 8};
+#if WNF_LANE_DISPATCH
+  // Found on first use: a function-local static, not a global constructor,
+  // so __builtin_cpu_supports never runs before the CPU model is set up.
+  static const std::size_t supported = [] {
+    __builtin_cpu_init();
+    if (!__builtin_cpu_supports("avx2")) return std::size_t{1};
+    return std::size_t{__builtin_cpu_supports("avx512f") ? 3u : 2u};
+  }();
+#else
+  constexpr std::size_t supported = 1;
+#endif
+  return {kWidths, supported};
+}
+
+void gemv_block(std::size_t lanes, const Matrix& a, std::span<const double> x,
                 std::size_t probes, std::span<double> y) {
   WNF_EXPECTS(probes >= 1);
   WNF_EXPECTS(x.size() == a.cols() * probes);
   WNF_EXPECTS(y.size() == a.rows() * probes);
-  dense_block(a.flat().data(), a.rows(), a.cols(), x.data(), probes,
+  dense_block(lanes, a.flat().data(), a.rows(), a.cols(), x.data(), probes,
               y.data());
+}
+
+void dot_block(std::size_t lanes, std::span<const double> w,
+               std::span<const double> x, std::size_t probes,
+               std::span<double> y) {
+  WNF_EXPECTS(probes >= 1);
+  WNF_EXPECTS(x.size() == w.size() * probes);
+  WNF_EXPECTS(y.size() == probes);
+  dense_block(lanes, w.data(), 1, w.size(), x.data(), probes, y.data());
+}
+
+}  // namespace detail
+
+void gemv_block(const Matrix& a, std::span<const double> x,
+                std::size_t probes, std::span<double> y) {
+  detail::gemv_block(detail::block_lane_widths().back(), a, x, probes, y);
 }
 
 void gemv_csr_block(const Matrix& a, std::span<const std::size_t> row_ptr,
@@ -366,18 +382,15 @@ void gemv_csr_block(const Matrix& a, std::span<const std::size_t> row_ptr,
   const std::size_t stride = a.cols();
   const double* w = a.flat().data();
   for (std::size_t r = 0; r < a.rows(); ++r) {
-    row_block(w + r * stride, cols.data() + row_ptr[r],
-              row_ptr[r + 1] - row_ptr[r], x.data(), probes,
-              y.data() + r * probes);
+    csr_row_block(w + r * stride, cols.data() + row_ptr[r],
+                  row_ptr[r + 1] - row_ptr[r], x.data(), probes,
+                  y.data() + r * probes);
   }
 }
 
 void dot_block(std::span<const double> w, std::span<const double> x,
                std::size_t probes, std::span<double> y) {
-  WNF_EXPECTS(probes >= 1);
-  WNF_EXPECTS(x.size() == w.size() * probes);
-  WNF_EXPECTS(y.size() == probes);
-  row_block(w.data(), EveryColumn{}, w.size(), x.data(), probes, y.data());
+  detail::dot_block(detail::block_lane_widths().back(), w, x, probes, y);
 }
 
 void gemv_transposed(const Matrix& a, std::span<const double> x,

@@ -17,9 +17,18 @@
 // holds one (row, probe) sum, started at 0.0 and added left to right with a
 // separate multiply and add; no operation mixes lanes. So probe p of a
 // block is bit-identical to gemv (or gemv_csr, or dot) over probe p alone,
-// for any P >= 1. The lanes are two-wide GCC/Clang vector types, which
-// build from one source on every target with no runtime dispatch; loads
-// are unaligned, since an odd P leaves rows off 16-byte boundaries.
+// for any P >= 1 and any lane width. Loads are unaligned, since an odd P
+// leaves rows off vector boundaries.
+//
+// Lane widths: gemv_block and dot_block run 8 doubles per vector on a CPU
+// with AVX-512F, 4 with AVX2, and otherwise 2; gemv_csr_block always runs
+// 2. The width is the widest the CPU reports (__builtin_cpu_supports) on
+// first use, x86-64 GCC/Clang only; no option, environment variable or
+// build flag selects it. A path fills what its lanes can and hands the
+// remaining probes to the next narrower one, down to one scalar probe.
+// Because a lane's arithmetic is the same on every path, and
+// -ffp-contract=off forbids FMA on all of them, outputs and checksums do
+// not depend on the CPU.
 #pragma once
 
 #include <span>
@@ -60,6 +69,23 @@ void gemv_csr_block(const Matrix& a, std::span<const std::size_t> row_ptr,
 /// x.size() == w.size() * probes and y.size() == probes.
 void dot_block(std::span<const double> w, std::span<const double> x,
                std::size_t probes, std::span<double> y);
+
+namespace detail {
+
+/// The block lane widths this CPU runs, narrowest first: {2}, {2, 4} or
+/// {2, 4, 8}. gemv_block and dot_block use the last. For tests and
+/// bench_to_json.
+std::span<const std::size_t> block_lane_widths();
+
+/// gemv_block and dot_block on the `lanes`-wide path, which must be one of
+/// block_lane_widths(). For tests and bench_to_json.
+void gemv_block(std::size_t lanes, const Matrix& a, std::span<const double> x,
+                std::size_t probes, std::span<double> y);
+void dot_block(std::size_t lanes, std::span<const double> w,
+               std::span<const double> x, std::size_t probes,
+               std::span<double> y);
+
+}  // namespace detail
 
 /// y = A^T * x (used by backprop without materialising the transpose).
 /// Requires x.size() == A.rows() and y.size() == A.cols().

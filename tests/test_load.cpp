@@ -528,7 +528,9 @@ TEST(Replay, PerTenantStateGrowsWithDistinctTenantsNotTheLargestId) {
   EXPECT_EQ(one.tenants[0].completed, 1u);
   ASSERT_FALSE(one.series.empty());
   for (const auto& sample : one.series) EXPECT_EQ(sample.tenant, 4294967295u);
-  if (!kSanitized) EXPECT_LT(rss_growth_kib, 64 * 1024);
+  if (!kSanitized) {
+    EXPECT_LT(rss_growth_kib, 64 * 1024);
+  }
 
   ArrivalTrace two;
   two.arrivals = {{0.0, 7}, {1e-6, 3}, {2e-6, 7}};

@@ -1,9 +1,11 @@
 // Unit tests for src/tensor: matrix storage and the gemv kernels,
 // including bit-for-bit pins of the row-blocked gemv / gemv_csr against a
 // one-row-at-a-time reference, of the probe-block kernels against gemv /
-// gemv_csr / dot probe by probe, and of whole forward passes built on them.
+// gemv_csr / dot probe by probe (at every lane width this CPU runs), and of
+// whole forward passes built on them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "nn/builder.hpp"
 #include "tensor/matrix.hpp"
@@ -270,16 +273,40 @@ TEST(Ops, SparseForwardOutputBitsPinned) {
   expect_pinned_outputs(net, kPinned);
 }
 
-// Probe counts for the block kernels: one probe, a pair, an odd count
-// below a full tile, and a campaign trial's 16 with and without a tail.
-constexpr std::size_t kBlockProbeCounts[] = {1, 2, 3, 16, 17};
+// Probe counts for the block kernels. A k-lane path runs 3 x 4 tiles per
+// 4k probes, then one 6 x 2 and one 12 x 1 pass, and hands fewer than k
+// probes to the next narrower path: these counts reach every tile of the
+// 2-, 4- and 8-lane paths alone and after each other, with and without a
+// tail (16 is a campaign trial, 8 a served run).
+constexpr std::size_t kBlockProbeCounts[] = {1,  2,  3,  4,  5,  7,  8,  9, 12,
+                                             15, 16, 17, 24, 31, 32, 33, 40};
 
-// A block-kernel input: mostly normal draws, with signed zeros, subnormals
-// and infinities mixed in but no NaN input. Every NaN a kernel then makes
-// (inf * 0, inf - inf) is the one default NaN, so whole outputs compare
-// with memcmp.
-double draw_block_value(Rng& rng) {
-  if (rng.bernoulli(0.15)) {
+// The lane widths run below, printed once so that a log shows which paths
+// this CPU exercised and which it skipped.
+std::span<const std::size_t> lane_widths() {
+  static const auto widths = [] {
+    const auto run = detail::block_lane_widths();
+    std::string line = "[ lanes    ] block paths run:";
+    for (const std::size_t lanes : run) line += " " + std::to_string(lanes);
+    if (run.back() < 8) {
+      line += "; skipped:";
+      for (std::size_t lanes = run.back() * 2; lanes <= 8; lanes *= 2) {
+        line += " " + std::to_string(lanes);
+      }
+      line += " (this CPU or build lacks them)";
+    }
+    std::printf("%s\n", line.c_str());
+    return run;
+  }();
+  return widths;
+}
+
+// A block-kernel input: normal draws, with signed zeros, subnormals and
+// infinities mixed in when `specials` is set, but no NaN input. Every NaN a
+// kernel then makes (inf * 0, inf - inf) is the one default NaN, so whole
+// outputs compare with memcmp.
+double draw_block_value(Rng& rng, bool specials = true) {
+  if (specials && rng.bernoulli(0.15)) {
     constexpr double kSpecials[] = {
         0.0,
         -0.0,
@@ -295,10 +322,11 @@ double draw_block_value(Rng& rng) {
 }
 
 std::vector<std::vector<double>> draw_probes(std::size_t count,
-                                             std::size_t dim, Rng& rng) {
+                                             std::size_t dim, Rng& rng,
+                                             bool specials = true) {
   std::vector<std::vector<double>> probes(count, std::vector<double>(dim));
   for (auto& probe : probes) {
-    for (double& v : probe) v = draw_block_value(rng);
+    for (double& v : probe) v = draw_block_value(rng, specials);
   }
   return probes;
 }
@@ -317,26 +345,59 @@ bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+TEST(Ops, BlockLanesAreTheWidestSupported) {
+  std::size_t widest = 2;
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) {
+    widest = __builtin_cpu_supports("avx512f") ? 8 : 4;
+  }
+#endif
+  std::vector<std::size_t> want;
+  for (std::size_t lanes = 2; lanes <= widest; lanes *= 2) {
+    want.push_back(lanes);
+  }
+  const auto widths = lane_widths();
+  EXPECT_EQ(std::vector<std::size_t>(widths.begin(), widths.end()), want);
+}
+
 TEST(Ops, GemvBlockBitIdenticalToGemvForEveryProbe) {
-  // The campaign's square and input shapes, a one-row block, and small
-  // shapes that leave a row remainder after the three-row tiles.
+  // The campaign's square and input shapes, a one-row block, and row
+  // counts that leave a remainder after the 3-, 6- and 12-row tiles.
   const std::pair<std::size_t, std::size_t> kShapes[] = {
-      {64, 64}, {64, 8}, {1, 64}, {2, 5}, {7, 3}, {13, 70}};
+      {64, 64}, {64, 8}, {1, 64}, {2, 5},  {7, 3},
+      {13, 70}, {5, 1},  {11, 9}, {12, 4}, {25, 33}};
   Rng rng(23);
-  for (const auto& [rows, cols] : kShapes) {
-    Matrix a(rows, cols);
-    for (double& v : a.flat()) v = draw_block_value(rng);
-    for (const std::size_t probes : kBlockProbeCounts) {
-      const auto xs = draw_probes(probes, cols, rng);
-      nn::Workspace ws;
-      const auto block = ws.pack(xs);
-      std::vector<double> y(rows * probes, 42.0);
-      gemv_block(a, block, probes, y);
-      for (std::size_t p = 0; p < probes; ++p) {
-        std::vector<double> want(rows);
-        gemv(a, xs[p], want);
-        ASSERT_TRUE(same_bytes(probe_of(y, rows, probes, p), want))
-            << rows << "x" << cols << ", P = " << probes << ", probe " << p;
+  // With specials nearly every 64-term sum is infinite or NaN in any order,
+  // so each shape also runs on finite draws.
+  for (const bool specials : {true, false}) {
+    for (const auto& [rows, cols] : kShapes) {
+      Matrix a(rows, cols);
+      for (double& v : a.flat()) v = draw_block_value(rng, specials);
+      for (const std::size_t probes : kBlockProbeCounts) {
+        const auto xs = draw_probes(probes, cols, rng, specials);
+        nn::Workspace ws;
+        const auto block = ws.pack(xs);
+        std::vector<std::vector<double>> want(probes,
+                                              std::vector<double>(rows));
+        for (std::size_t p = 0; p < probes; ++p) gemv(a, xs[p], want[p]);
+        for (const std::size_t lanes : lane_widths()) {
+          std::vector<double> y(rows * probes, 42.0);
+          detail::gemv_block(lanes, a, block, probes, y);
+          for (std::size_t p = 0; p < probes; ++p) {
+            ASSERT_TRUE(same_bytes(probe_of(y, rows, probes, p), want[p]))
+                << lanes << " lanes, " << rows << "x" << cols
+                << ", P = " << probes << ", probe " << p;
+          }
+        }
+        // The dispatched entry point is the widest path.
+        std::vector<double> y(rows * probes, 42.0);
+        gemv_block(a, block, probes, y);
+        for (std::size_t p = 0; p < probes; ++p) {
+          ASSERT_TRUE(same_bytes(probe_of(y, rows, probes, p), want[p]))
+              << "gemv_block, " << rows << "x" << cols << ", P = " << probes
+              << ", probe " << p;
+        }
       }
     }
   }
@@ -395,19 +456,29 @@ TEST(Ops, GemvCsrBlockBitIdenticalToGemvCsrForEveryProbe) {
 
 TEST(Ops, DotBlockBitIdenticalToDotForEveryProbe) {
   Rng rng(26);
-  for (const std::size_t width : {64, 8, 1}) {
-    std::vector<double> w(width);
-    for (double& v : w) v = draw_block_value(rng);
-    for (const std::size_t probes : kBlockProbeCounts) {
-      const auto xs = draw_probes(probes, width, rng);
-      nn::Workspace ws;
-      const auto block = ws.pack(xs);
-      std::vector<double> y(probes, 42.0);
-      dot_block(w, block, probes, y);
-      for (std::size_t p = 0; p < probes; ++p) {
-        const std::vector<double> want{dot(xs[p], w)};
-        ASSERT_TRUE(same_bytes({y[p]}, want))
-            << "width " << width << ", P = " << probes << ", probe " << p;
+  for (const bool specials : {true, false}) {
+    for (const std::size_t width : {64, 8, 1}) {
+      std::vector<double> w(width);
+      for (double& v : w) v = draw_block_value(rng, specials);
+      for (const std::size_t probes : kBlockProbeCounts) {
+        const auto xs = draw_probes(probes, width, rng, specials);
+        nn::Workspace ws;
+        const auto block = ws.pack(xs);
+        std::vector<double> want(probes);
+        for (std::size_t p = 0; p < probes; ++p) want[p] = dot(xs[p], w);
+        for (const std::size_t lanes : lane_widths()) {
+          std::vector<double> y(probes, 42.0);
+          detail::dot_block(lanes, w, block, probes, y);
+          for (std::size_t p = 0; p < probes; ++p) {
+            ASSERT_TRUE(same_bytes({y[p]}, {want[p]}))
+                << lanes << " lanes, width " << width << ", P = " << probes
+                << ", probe " << p;
+          }
+        }
+        std::vector<double> y(probes, 42.0);
+        dot_block(w, block, probes, y);
+        ASSERT_TRUE(same_bytes(y, want))
+            << "dot_block, width " << width << ", P = " << probes;
       }
     }
   }
@@ -419,7 +490,8 @@ TEST(Ops, BlockForwardMatchesPerProbeForwardOnPinnedNets) {
   for (const bool sparse : {false, true}) {
     const auto net = pinned_net(sparse);
     Rng rng(14);
-    std::vector<std::vector<double>> xs(17, std::vector<double>(8));
+    std::vector<std::vector<double>> xs(std::ranges::max(kBlockProbeCounts),
+                                        std::vector<double>(8));
     for (auto& x : xs) {
       for (double& v : x) v = rng.uniform(-1.0, 1.0);
     }
