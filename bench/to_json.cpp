@@ -4,7 +4,7 @@
 // files and fails on regression.
 //
 //   ./bench_to_json out=BENCH_pr5.json
-//   ./bench_to_json mode=compare baseline=BENCH_baseline.json \
+//   ./bench_to_json mode=compare baseline=BENCH_baseline.json
 //                   current=BENCH_pr5.json [tolerance=0.20] [strict=0]
 //
 // Scenarios mirror the `smoke`-labelled benches (serve throughput,

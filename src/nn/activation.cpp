@@ -3,16 +3,18 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/ops.hpp"
 #include "util/contract.hpp"
 
 namespace wnf::nn {
 namespace {
 
 // One definition per kind, shared by value() and apply() so the scalar and
-// the per-layer paths cannot drift apart. Each takes its kind's slope factor
-// already multiplied by K, which apply() hoists out of the per-neuron loop;
-// (-4.0 * k) * x is exactly how the expression -4.0 * k * x groups, so the
-// hoist changes no bit.
+// the per-layer paths cannot drift apart; apply()'s sigmoid is the tensor
+// layer's `sigmoid`, which computes tuned_sigmoid's expression bit for bit.
+// Each takes its kind's slope factor already multiplied by K, which apply()
+// hoists out of the per-neuron loop; (-4.0 * k) * x is exactly how the
+// expression -4.0 * k * x groups, so the hoist changes no bit.
 
 // Tuned sigmoid: plain sigmoid has slope 1/4 at 0, so the 4K factor makes
 // the tuned slope exactly K there (paper Fig. 2 derivation).
@@ -51,13 +53,9 @@ void Activation::apply(std::span<const double> in,
   WNF_EXPECTS(in.size() == out.size());
   const std::size_t n = in.size();
   switch (kind_) {
-    case ActivationKind::kSigmoid: {
-      const double minus_4k = -4.0 * k_;
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = tuned_sigmoid(minus_4k, in[i]);
-      }
+    case ActivationKind::kSigmoid:
+      sigmoid(-4.0 * k_, in, out);
       return;
-    }
     case ActivationKind::kTanh01: {
       const double two_k = 2.0 * k_;
       for (std::size_t i = 0; i < n; ++i) out[i] = tuned_tanh01(two_k, in[i]);

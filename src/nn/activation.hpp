@@ -39,6 +39,14 @@ class Activation {
   /// out[i] = value(in[i]) for every i, bit for bit, with the kind switched
   /// on once per call instead of once per neuron (the forward passes apply
   /// it to a whole layer). Sizes must match; `out` may be `in` itself.
+  ///
+  /// The sigmoid runs on the tensor layer's `sigmoid` (tensor/ops.hpp): 8
+  /// elements per vector under AVX-512F, 4 under AVX2 and FMA, the scalar
+  /// std::exp loop elsewhere, with the width found on first use and no
+  /// option selecting it. Its bits equal value()'s because each lane
+  /// computes exp by the IEEE operations glibc's FMA exp performs, and a
+  /// guard keeps the scalar loop if this process's std::exp is not that
+  /// exp (GLIBC_TUNABLES can switch it).
   void apply(std::span<const double> in, std::span<double> out) const;
 
   /// d(value)/dx at `x`.

@@ -21,14 +21,30 @@
 // leaves rows off vector boundaries.
 //
 // Lane widths: gemv_block and dot_block run 8 doubles per vector on a CPU
-// with AVX-512F, 4 with AVX2, and otherwise 2; gemv_csr_block always runs
-// 2. The width is the widest the CPU reports (__builtin_cpu_supports) on
-// first use, x86-64 GCC/Clang only; no option, environment variable or
-// build flag selects it. A path fills what its lanes can and hands the
-// remaining probes to the next narrower one, down to one scalar probe.
-// Because a lane's arithmetic is the same on every path, and
-// -ffp-contract=off forbids FMA on all of them, outputs and checksums do
-// not depend on the CPU.
+// with AVX-512F, 4 with AVX2 and FMA, and otherwise 2; gemv_csr_block
+// always runs 2. The width is the widest the CPU reports
+// (__builtin_cpu_supports) on first use, x86-64 GCC/Clang only; no option,
+// environment variable or build flag selects it. A path fills what its
+// lanes can and hands the remaining probes to the next narrower one, down
+// to one scalar probe. Because a lane's arithmetic is the same on every
+// path, and -ffp-contract=off forbids FMA on all of them, outputs and
+// checksums do not depend on the CPU.
+//
+// The sigmoid, y = 1 / (1 + exp(a x)), runs on the same dispatch: 8
+// elements per vector under AVX-512F, 4 under AVX2 and FMA, then the scalar
+// std::exp loop for what does not fill a vector and on every other CPU or
+// libm. Its bits do not change, because each lane computes exp(a x) by the
+// same IEEE operations, FMAs included, that glibc's exp runs on a CPU with
+// AVX2 and FMA (its __exp_fma variant), and a lane outside that algorithm's
+// main range (|a x| < 2^-54 or >= 512, inf, NaN) calls std::exp. The lanes
+// exist only on x86-64 GCC/Clang with glibc. glibc chooses its exp by its
+// own view of the CPU, which GLIBC_TUNABLES can change (hwcaps=-AVX2,-FMA
+// selects a non-FMA exp), so a guard found on first use with the width
+// compares the lanes with std::exp on a fixed list of arguments, some of
+// which glibc's FMA and non-FMA exp round differently; on any difference
+// the scalar loop is the only path. The lanes thus equal this process's
+// std::exp; sigmoid bits follow glibc's exp, which may differ between
+// hosts.
 #pragma once
 
 #include <span>
@@ -70,12 +86,30 @@ void gemv_csr_block(const Matrix& a, std::span<const std::size_t> row_ptr,
 void dot_block(std::span<const double> w, std::span<const double> x,
                std::size_t probes, std::span<double> y);
 
+/// y[i] = 1.0 / (1.0 + std::exp(a * x[i])) for every i, bit for bit (see
+/// the header comment). Sizes must match; `y` may be `x` itself.
+void sigmoid(double a, std::span<const double> x, std::span<double> y);
+
 namespace detail {
 
 /// The block lane widths this CPU runs, narrowest first: {2}, {2, 4} or
 /// {2, 4, 8}. gemv_block and dot_block use the last. For tests and
 /// bench_to_json.
 std::span<const std::size_t> block_lane_widths();
+
+/// The sigmoid widths this host runs, narrowest first: {1} (the scalar
+/// std::exp loop), {1, 4} or {1, 4, 8}, the block widths above 2 unless the
+/// guard found std::exp unlike the lanes. sigmoid uses the last. For tests.
+std::span<const std::size_t> sigmoid_lane_widths();
+
+/// sigmoid on the `lanes`-wide path, which must be one of
+/// sigmoid_lane_widths(). For tests.
+void sigmoid(std::size_t lanes, double a, std::span<const double> x,
+             std::span<double> y);
+
+/// The exp arguments on which the guard compares the sigmoid's lanes with
+/// std::exp. For tests.
+std::span<const double> exp_guard_inputs();
 
 /// gemv_block and dot_block on the `lanes`-wide path, which must be one of
 /// block_lane_widths(). For tests and bench_to_json.

@@ -349,7 +349,7 @@ TEST(Ops, BlockLanesAreTheWidestSupported) {
   std::size_t widest = 2;
 #if defined(__x86_64__) && defined(__GNUC__)
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) {
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     widest = __builtin_cpu_supports("avx512f") ? 8 : 4;
   }
 #endif
